@@ -4,8 +4,7 @@ JSON configuration in, JSON or CSV reports out, complex numbers serialized
 as [re, im] pairs.  Exit status 0 means every requested computation and
 check passed, 1 that a computation ran but missed its tolerance, 2 that the
 request itself was invalid.  Identical configuration and seed give
-byte-identical reports; independent batch entries evaluate concurrently up
-to ITERINT_WORKERS workers but reports are assembled in a fixed order.
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -13,10 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import (
     ConfigError,
@@ -42,7 +39,6 @@ from .regularization import (
 )
 from .surfaces import (
     FormBasis,
-    FormSpec,
     SurfaceConfig,
     ThetaParams,
     basis_from_json,
@@ -55,6 +51,7 @@ from .transport import all_words, iterated_integral, transport_series
 from .variation import (
     fd_variation,
     random_sphere_request,
+    random_torus_basis,
     random_torus_request,
     variation_rhs,
 )
@@ -83,26 +80,6 @@ _SUITES = (
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-
-def _workers() -> int:
-    raw = os.environ.get("ITERINT_WORKERS", "")
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError as e:
-        raise ConfigError(f"ITERINT_WORKERS must be an integer, got {raw!r}") from e
-    return max(1, n)
-
-
-def _pmap(fn, items):
-    items = list(items)
-    n = min(_workers(), len(items))
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_config(path: str) -> dict:
@@ -171,8 +148,7 @@ def _cmd_polylog(args) -> tuple[dict, bool]:
         target = int(_require(cfg["limit"], "target"))
         base = int(_require(cfg["limit"], "base"))
 
-        def one(entry):
-            key, obj = entry
+        def one(key, obj):
             exp = asymptotic_expansion(basis, target, base, obj, tol=tol)
             return {
                 "key": key,
@@ -180,7 +156,7 @@ def _cmd_polylog(args) -> tuple[dict, bool]:
                 "error": exp.error,
             }
 
-        rows = _pmap(one, entries)
+        rows = [one(key, obj) for key, obj in entries]
         mode = "limit"
     else:
         path = path_from_json(cfg["path"])
@@ -219,8 +195,7 @@ def _cmd_mzv(args) -> tuple[dict, bool]:
             jobs.append((i, j, key, obj))
     jobs.sort(key=lambda t: (t[0], t[1], t[2]))
 
-    def one(job):
-        i, j, key, obj = job
+    def one(i, j, key, obj):
         exp = asymptotic_expansion(basis, i, j, obj, tol=tol)
         return {
             "i": i,
@@ -230,7 +205,7 @@ def _cmd_mzv(args) -> tuple[dict, bool]:
             "error": exp.error,
         }
 
-    return {"command": "mzv", "rows": _pmap(one, jobs)}, True
+    return {"command": "mzv", "rows": [one(*job) for job in jobs]}, True
 
 
 # ---------------------------------------------------------------------------
@@ -302,32 +277,11 @@ def _suite_fay(rng, tau, tol):
     return cases
 
 
-def _random_disjoint_torus(rng, tau) -> FormBasis:
-    while True:
-        pts = [0j]
-        tries = 0
-        while len(pts) < 4 and tries < 200:
-            tries += 1
-            cand = rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0) * tau
-            if all(lattice_distance(cand - p, tau) > 0.3 for p in pts):
-                pts.append(cand)
-        if len(pts) == 4:
-            break
-    surface = SurfaceConfig(1, tuple(pts), tau=tau)
-    forms = (
-        FormSpec.dz(),
-        FormSpec.elliptic_log(1, 0),
-        FormSpec.elliptic_log(3, 2),
-        FormSpec.elliptic_log(0, 2),
-    )
-    return FormBasis(surface, forms)
-
-
 def _suite_structure(rng, tau, tol):
     tol = 1e-8 if tol is None else tol
     cases = []
     for t in range(2):
-        basis = _random_disjoint_torus(rng, tau)
+        basis = random_torus_basis(rng, tau)
         s = basis.surface
         sc = structure_constants(basis, 1, 2)
         for m in range(20):
@@ -374,8 +328,7 @@ def _suite_variation(rng, genus, tau, tol):
     else:
         reqs = [random_torus_request(rng, tau=tau) for _ in range(3)]
 
-    def one(pair):
-        m, req = pair
+    def one(m, req):
         rhs = variation_rhs(req)
         fd = fd_variation(req, 1e-4)
         return {
@@ -384,7 +337,7 @@ def _suite_variation(rng, genus, tau, tol):
             "tol": tol,
         }
 
-    return _pmap(one, list(enumerate(reqs)))
+    return [one(m, req) for m, req in enumerate(reqs)]
 
 
 def _suite_monodromy(genus, tau, depth, tol):
@@ -450,7 +403,7 @@ def _suite_associator(genus, tau, depth, tol):
         }
 
     words = [w for w in all_words(range(basis.n_forms), depth) if not w.is_empty]
-    return cases + _pmap(one, words)
+    return cases + [one(w) for w in words]
 
 
 def _cmd_check(args) -> tuple[dict, bool]:

@@ -263,15 +263,6 @@ def loop_around(spec: LoopSpec, surface) -> Path:
     )
 
 
-def pullback_sample(path: Path, f, n: int = 64) -> list[tuple[float, complex]]:
-    """Samples of f(z(t)) z'(t) on a uniform grid of the global parameter."""
-    out = []
-    for i in range(n):
-        t = (i + 0.5) / n
-        out.append((t, f(path.point(t)) * path.velocity(t)))
-    return out
-
-
 def _seg_log_var(seg: Segment, a: float, b: float, pole: complex, depth: int = 0) -> complex:
     za = seg.point(a) - pole
     zb = seg.point(b) - pole

@@ -655,56 +655,3 @@ def monodromy(
     )
     around = transport_series(circuit, basis, depth=depth, tol=tol)
     return around.series.product(l_j.series())
-
-
-# ---------------------------------------------------------------------------
-# tables
-
-
-@dataclass(frozen=True)
-class MzvRow:
-    i: int
-    j: int
-    word: Word
-    value: complex
-    error: float
-
-
-@dataclass(frozen=True)
-class MzvTable:
-    """Computed zeta values keyed by (target, base, word)."""
-
-    rows: tuple[MzvRow, ...]
-
-    @classmethod
-    def compute(
-        cls,
-        basis: FormBasis,
-        entries: Iterable[tuple[int, int, Word]],
-        *,
-        tol: float = 1e-12,
-    ) -> "MzvTable":
-        rows = []
-        for i, j, wd in entries:
-            if not isinstance(wd, Word):
-                wd = Word(tuple(wd))
-            exp = asymptotic_expansion(basis, i, j, wd, tol=tol)
-            rows.append(MzvRow(i, j, wd, exp.coefficients[0], exp.error))
-        rows.sort(key=lambda r: (r.i, r.j, len(r.word), r.word.letters))
-        return cls(tuple(rows))
-
-    def value(self, i: int, j: int, wd: Word) -> complex:
-        for row in self.rows:
-            if (row.i, row.j, row.word) == (i, j, wd):
-                return row.value
-        raise MissingLabelError(f"no table entry for ({i}, {j}, {wd})")
-
-    def to_csv(self) -> str:
-        lines = ["i,j,word,re,im,err"]
-        for r in self.rows:
-            word_s = "-".join(str(a) for a in r.word.letters)
-            lines.append(
-                f"{r.i},{r.j},{word_s},{r.value.real:.17g},"
-                f"{r.value.imag:.17g},{r.error:.3e}"
-            )
-        return "\n".join(lines) + "\n"

@@ -180,17 +180,8 @@ def d2log_theta(z: complex, p: ThetaParams) -> complex:
 
 
 def theta_c(p: ThetaParams) -> complex:
-    """theta11'''(0)/theta11'(0), the constant appearing in the Fay identity."""
-    thp = thppp = 0j
-    for n in range(-p.truncation, p.truncation):
-        half = n + 0.5
-        t = cmath.exp(
-            1j * math.pi * p.tau * half * half + 1j * math.pi * half
-        )
-        d = TWO_PI_I * half
-        thp += d * t
-        thppp += d * d * d * t
-    return thppp / thp
+    """theta11'''(0)/theta11'(0) = 6 c3, the constant appearing in the Fay identity."""
+    return 6.0 * _theta_odd_coeffs(p)[0]
 
 
 @dataclass(frozen=True)
@@ -467,6 +458,20 @@ class StructureConstants:
         return lhs - rhs
 
 
+def _fay_terms(p: ThetaParams):
+    """F = dlog theta11 and G(x) = (F(x)^2 + F'(x))/2 at modulus p, the two
+    functions the theta product identities are written in."""
+
+    def F(x: complex) -> complex:
+        return dlog_theta(x, p)
+
+    def G(x: complex) -> complex:
+        v = dlog_theta(x, p)
+        return 0.5 * (v * v + d2log_theta(x, p))
+
+    return F, G
+
+
 def structure_constants(basis: FormBasis, a: FormLabel, b: FormLabel) -> StructureConstants:
     """Decompose the pointwise product f_a*f_b back into the basis.
 
@@ -504,18 +509,10 @@ def structure_constants(basis: FormBasis, a: FormLabel, b: FormLabel) -> Structu
         )
     i_ab, sign = found
 
-    p = basis.theta
     pts = s.punctures
     a1, a2 = pts[fa.k1], pts[fa.k2]
     b1, b2 = pts[fb.k1], pts[fb.k2]
-
-    def F(x: complex) -> complex:
-        return dlog_theta(x, p)
-
-    def G(x: complex) -> complex:
-        v = dlog_theta(x, p)
-        return 0.5 * (v * v + d2log_theta(x, p))
-
+    F, G = _fay_terms(basis.theta)
     c0 = G(a1 - b1) - G(a1 - b2) - G(a2 - b1) + G(a2 - b2)
     ca = F(a1 - b1) - F(a1 - b2)
     cb = F(b1 - a1) - F(b1 - a2)
@@ -536,14 +533,7 @@ def fay_residual(z: complex, p_i: complex, p_j: complex, p: ThetaParams) -> comp
     zi = z - p_i
     zj = z - p_j
     d = p_i - p_j
-
-    def F(x: complex) -> complex:
-        return dlog_theta(x, p)
-
-    def G(x: complex) -> complex:
-        v = dlog_theta(x, p)
-        return 0.5 * (v * v + d2log_theta(x, p))
-
+    F, G = _fay_terms(p)
     lhs = F(zi) * F(zj)
     rhs = F(zi) * F(d) + F(zj) * F(-d) + G(zj) + G(zi) + G(d) - 0.5 * theta_c(p)
     return lhs - rhs

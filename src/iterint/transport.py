@@ -70,10 +70,6 @@ def _build_quadrature() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _NODES, _END_ROW, _INT_MATRIX = _build_quadrature()
 
 
-def quadrature_nodes() -> np.ndarray:
-    return _NODES.copy()
-
-
 def all_words(alphabet: Sequence[int], depth: int) -> list[Word]:
     """Every word over the alphabet up to the given length, shortest first."""
     if depth < 0:
@@ -204,10 +200,6 @@ def _series_add(a: NcSeries, b: NcSeries) -> NcSeries:
 def compose_series(after: NcSeries, before: NcSeries) -> NcSeries:
     """Series of a concatenated path: ``before`` runs first."""
     return after.product(before)
-
-
-def invert_series(s: NcSeries) -> NcSeries:
-    return s.invert()
 
 
 def _node_values(

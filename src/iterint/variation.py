@@ -215,10 +215,10 @@ def random_sphere_request(rng: random.Random) -> VariationRequest:
     return VariationRequest(basis, Word(letters), 2, z, base)
 
 
-def random_torus_request(rng: random.Random, tau: complex = 1j) -> VariationRequest:
-    """Four well-separated punctures mod the lattice with a basis of
-    pairwise-disjoint pole pairs, and a straight path clearing every pole
-    translate by at least 0.2."""
+def random_torus_basis(rng: random.Random, tau: complex) -> FormBasis:
+    """Four punctures pairwise at least 0.3 apart mod the lattice, the first
+    at 0, with the basis dz, (1,0), (3,2), (0,2) of pairwise-disjoint pole
+    pairs; a draw that cannot place all four in 200 tries starts over."""
     while True:
         pts = [0j]
         tries = 0
@@ -227,21 +227,25 @@ def random_torus_request(rng: random.Random, tau: complex = 1j) -> VariationRequ
             cand = rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0) * tau
             if all(lattice_distance(cand - p, tau) > 0.3 for p in pts):
                 pts.append(cand)
-        if len(pts) < 4:
-            continue
-        surface = SurfaceConfig(1, tuple(pts), tau=tau)
-        basis = FormBasis(
-            surface,
-            (
-                FormSpec.dz(),
-                FormSpec.elliptic_log(1, 0),
-                FormSpec.elliptic_log(3, 2),
-                FormSpec.elliptic_log(0, 2),
-            ),
-        )
+        if len(pts) == 4:
+            break
+    forms = (
+        FormSpec.dz(),
+        FormSpec.elliptic_log(1, 0),
+        FormSpec.elliptic_log(3, 2),
+        FormSpec.elliptic_log(0, 2),
+    )
+    return FormBasis(SurfaceConfig(1, tuple(pts), tau=tau), forms)
+
+
+def random_torus_request(rng: random.Random, tau: complex = 1j) -> VariationRequest:
+    """A random torus basis (``random_torus_basis``) and a straight path
+    clearing every pole translate by at least 0.2."""
+    while True:
+        basis = random_torus_basis(rng, tau)
         for _ in range(40):
             base = complex(rng.uniform(-0.3, 0.0), rng.uniform(-0.45, -0.1))
             z = complex(rng.uniform(0.6, 1.0), rng.uniform(-0.45, -0.1))
             seg = LineSegment(base, z)
-            if _segment_clear(surface, seg, 0.2):
+            if _segment_clear(basis.surface, seg, 0.2):
                 return VariationRequest(basis, Word((0, 1, 2)), 2, z, base)

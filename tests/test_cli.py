@@ -186,23 +186,21 @@ class TestCheck:
     def test_bad_tau(self, capsys):
         assert main(["check", "fay", "--tau", "banana"]) == 2
 
-    def test_seed_determinism(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fay", "--seed", "11"],
+            ["variation", "--genus", "1", "--seed", "11"],
+            ["structure", "--genus", "1", "--seed", "11"],
+            ["associator"],
+        ],
+        ids=["fay", "variation-genus1", "structure-genus1", "associator"],
+    )
+    def test_seed_determinism(self, tmp_path, argv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        main(["check", "fay", "--seed", "11", "--out", str(a)])
-        main(["check", "fay", "--seed", "11", "--out", str(b)])
+        assert main(["check", *argv, "--out", str(a)]) == 0
+        assert main(["check", *argv, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_worker_count_does_not_change_report(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        monkeypatch.setenv("ITERINT_WORKERS", "1")
-        main(["check", "associator", "--out", str(a)])
-        monkeypatch.setenv("ITERINT_WORKERS", "3")
-        main(["check", "associator", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_bad_worker_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ITERINT_WORKERS", "lots")
-        assert main(["check", "variation", "--seed", "0"]) == 2
 
     def test_csv_report(self, capsys):
         rc = main(["check", "shuffle", "--seed", "4", "--format", "csv"])

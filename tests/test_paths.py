@@ -20,7 +20,6 @@ from iterint.paths import (
     loop_around,
     path_from_json,
     path_to_json,
-    pullback_sample,
     reverse,
     segment_from_json,
 )
@@ -174,16 +173,6 @@ class TestLoops:
         arc = loop.segments[1]
         assert isinstance(arc, ArcSegment)
         assert arc.radius < min(abs(0.3 + 0.8j), 1.0)
-
-
-class TestPullback:
-    def test_integral_of_polynomial(self):
-        # midpoint rule on f = 2z over a line: antiderivative z^2
-        p = line_path(0.2, 1 + 1j)
-        samples = pullback_sample(p, lambda z: 2 * z, n=2000)
-        total = sum(v for _, v in samples) / len(samples)
-        want = (1 + 1j) ** 2 - 0.2 ** 2
-        assert abs(total - want) < 1e-6
 
 
 class TestLogVariation:

@@ -17,7 +17,6 @@ from iterint.errors import (
 from iterint.paths import LineSegment, LoopSpec, Path, line_path
 from iterint.regularization import (
     AsymptoticExpansion,
-    MzvTable,
     RegularizedTransport,
     associator,
     asymptotic_expansion,
@@ -414,20 +413,3 @@ class TestMonodromy:
         lhs = monodromy(b, loop, 1, depth=2)
         rhs = monodromy(b, loop, 2, depth=2).product(phi.series)
         assert lhs.max_abs_diff(rhs) < 1e-9
-
-
-class TestMzvTable:
-    def test_deterministic_csv(self, sphere01):
-        _, b = sphere01
-        entries = [(1, 0, word(0, 1)), (1, 0, word(1, 0)), (1, 0, word(0, 0, 1))]
-        t1 = MzvTable.compute(b, entries)
-        t2 = MzvTable.compute(b, reversed(entries))
-        assert t1.to_csv() == t2.to_csv()
-        assert t1.to_csv().splitlines()[0] == "i,j,word,re,im,err"
-        assert abs(t1.value(1, 0, word(0, 1)) + ZETA2) < 1e-8
-
-    def test_missing_entry(self, sphere01):
-        _, b = sphere01
-        t = MzvTable.compute(b, [(1, 0, word(0, 1))])
-        with pytest.raises(MissingLabelError):
-            t.value(1, 0, word(1, 1))
