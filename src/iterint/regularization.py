@@ -70,7 +70,7 @@ from .words import (
     GeneralizedWord,
     Word,
     _as_gw,
-    decompose_at,
+    _decomposition,
     decompose_leading,
     word,
 )
@@ -266,7 +266,6 @@ class RegularizedTransport:
         self._end = end
         self._error = error
         self._tol = tol
-        self._parts: dict[Word, list] = {}
 
     @classmethod
     def along(
@@ -298,8 +297,8 @@ class RegularizedTransport:
 
         part_words = {word(kj)}
         for w in requested:
-            for _, gw in decompose_at(w, kj):
-                part_words.update(gw.terms)
+            for _, terms in _decomposition(w.letters, kj):
+                part_words.update(u for u, _ in terms)
         v_support = tail_closure(part_words - {word(kj)})
         words_full = factor_closure(set(requested) | part_words)
 
@@ -362,14 +361,10 @@ class RegularizedTransport:
     def _word_value(self, w: Word) -> complex:
         if w.is_empty:
             return 1.0 + 0j
-        parts = self._parts.get(w)
-        if parts is None:
-            parts = decompose_at(w, self.ctx.form_label)
-            self._parts[w] = parts
         total = 0j
         try:
-            for i, gw in parts:
-                inner = sum(c * self._v.coefficient(u) for u, c in gw.items())
+            for i, terms in _decomposition(w.letters, self.ctx.form_label):
+                inner = sum(m * self._v.coefficient(u) for u, m in terms)
                 total += self._lam ** i / math.factorial(i) * inner
         except KeyError:
             raise MissingLabelError(

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 

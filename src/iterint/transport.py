@@ -19,16 +19,26 @@ values with n-1 leading 0 letters.
 Composition: if a path runs alpha then beta, the total series is the
 series product T_beta * T_alpha (later piece on the left).
 
+Series coefficients live in a plain dict keyed by word.  A product compiles
+its pair of supports once into a split plan, the support positions of u
+and v for every split u|v of every computable word (memoized in a bounded
+cache), and then gathers, multiplies and sums the splits of each word
+length in numpy, adding them in the order a scalar loop would.  The inverse
+runs the same plan once, one word length at a time.
+
 Each segment is integrated on 16 Gauss-Legendre nodes with a spectral
 integration matrix, nested over word length, and bisected adaptively until
-direct and composed evaluations agree to tolerance.
+direct and composed evaluations agree to tolerance; a child piece reuses
+its parent's solve of it as its own direct evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from itertools import compress
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +49,7 @@ from .words import EMPTY_WORD, GeneralizedWord, Word
 
 _N_NODES = 16
 _MAX_LEVEL = 30
+_PLAN_CACHE_SIZE = 32
 
 
 def _build_quadrature() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,28 +93,106 @@ def all_words(alphabet: Sequence[int], depth: int) -> list[Word]:
     return out
 
 
-def _sorted_words(words: Iterable[Word]) -> list[Word]:
-    return sorted(set(words) | {EMPTY_WORD}, key=lambda w: (len(w), w.letters))
+def _sorted_words(letters: set[tuple]) -> list[Word]:
+    letters.add(())
+    return [Word(t) for t in sorted(letters, key=lambda t: (len(t), t))]
 
 
 def factor_closure(words: Iterable[Word]) -> list[Word]:
     """All contiguous subwords, shortest first; what a series product needs."""
-    out = set()
+    out: set[tuple] = set()
     for w in words:
         ls = w.letters
-        for i in range(len(ls) + 1):
-            for j in range(i, len(ls) + 1):
-                out.add(Word(ls[i:j]))
+        n = len(ls)
+        out.update(ls[i:j] for i in range(n) for j in range(i + 1, n + 1))
     return _sorted_words(out)
 
 
 def tail_closure(words: Iterable[Word]) -> list[Word]:
     """All trailing subwords, shortest first; what a nested solve needs."""
-    out = set()
+    out: set[tuple] = set()
     for w in words:
-        for i in range(len(w) + 1):
-            out.add(Word(w.letters[i:]))
+        ls = w.letters
+        out.update(ls[i:] for i in range(len(ls)))
     return _sorted_words(out)
+
+
+class _SplitPlan(NamedTuple):
+    """Every split u|v of the words a product of two supports can compute.
+
+    ``words`` are the surviving words, shortest first and in left-support
+    order within a length; ``index`` is each one's position in the left
+    support.  ``left`` and ``right`` hold the support positions of u and v
+    for every split.  ``levels`` has one (length n, first word, end word,
+    first split) per word length; that length's splits form an (n + 1, m)
+    block over its m words, u shortest first down the rows.
+    """
+
+    words: tuple[Word, ...]
+    index: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    levels: tuple[tuple[int, int, int, int], ...]
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _split_plan(
+    left_support: tuple[Word, ...], right_support: tuple[Word, ...], depth: int
+) -> _SplitPlan:
+    """Compile the product of two supports (given in dict order) up to depth.
+
+    A word survives when every split u|v has u in the left support and v in
+    the right one; the splits at u = () and u = w put it in both.
+    """
+    lpos = {w.letters: k for k, w in enumerate(left_support)}
+    rpos = {w.letters: k for k, w in enumerate(right_support)}
+    kept: dict[int, list] = {}
+    for k, w in enumerate(left_support):
+        ls = w.letters
+        n = len(ls)
+        if n > depth:
+            continue
+        us = [lpos.get(ls[:i]) for i in range(n + 1)]
+        vs = [rpos.get(ls[i:]) for i in range(n + 1)]
+        if None not in us and None not in vs:
+            kept.setdefault(n, []).append((k, w, us, vs))
+    words, index, left, right, levels = [], [], [], [], []
+    for n in sorted(kept):
+        group = kept[n]
+        levels.append((n, len(words), len(words) + len(group), len(left)))
+        words += [w for _, w, _, _ in group]
+        index += [k for k, _, _, _ in group]
+        for i in range(n + 1):
+            left += [us[i] for _, _, us, _ in group]
+            right += [vs[i] for _, _, _, vs in group]
+    arrays = [np.array(a, dtype=np.intp) for a in (index, left, right)]
+    for a in arrays:
+        a.flags.writeable = False
+    return _SplitPlan(tuple(words), *arrays, tuple(levels))
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise complex product in separate real operations.
+
+    numpy's complex multiply fuses multiply-adds on CPUs that have them, so
+    its last bits would depend on the machine and differ from Python's.
+    """
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _sum_rows(block: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a 2-d array, added one after another.
+
+    numpy's own reductions sum some shapes pairwise, so a word's coefficient
+    would change in its last bits with the number of words of its length.
+    """
+    total = block[0].copy()
+    for row in block[1:]:
+        total += row
+    return total
 
 
 class NcSeries:
@@ -137,6 +226,9 @@ class NcSeries:
             raise KeyError(f"word {w} outside series support")
         return self.coeffs[w]
 
+    def _values(self) -> np.ndarray:
+        return np.fromiter(self.coeffs.values(), dtype=complex, count=len(self.coeffs))
+
     def product(self, other: "NcSeries") -> "NcSeries":
         """Concatenation product self * other (self applied after other).
 
@@ -144,38 +236,47 @@ class NcSeries:
         in other's; with factor-closed supports nothing is lost.
         """
         depth = min(self.depth, other.depth)
-        out: dict[Word, complex] = {}
-        for w in set(self.coeffs) | set(other.coeffs):
-            if len(w) > depth:
-                continue
-            total = 0j
-            ok = True
-            ls = w.letters
-            for i in range(len(ls) + 1):
-                cu = self.coeffs.get(Word(ls[:i]))
-                cv = other.coeffs.get(Word(ls[i:]))
-                if cu is None or cv is None:
-                    ok = False
-                    break
-                total += cu * cv
-            if ok:
-                out[w] = total
-        return NcSeries(out, depth)
+        plan = _split_plan(tuple(self.coeffs), tuple(other.coeffs), depth)
+        terms = _mul(self._values()[plan.left], other._values()[plan.right])
+        sums = np.empty(len(plan.words), dtype=complex)
+        for n, lo, hi, first in plan.levels:
+            block = terms[first : first + (n + 1) * (hi - lo)]
+            sums[lo:hi] = _sum_rows(block.reshape(n + 1, hi - lo))
+        return NcSeries(dict(zip(plan.words, sums.tolist())), depth)
 
     def invert(self) -> "NcSeries":
+        """Inverse series, one word length at a time: L^-1[()] = 1/c0 and
+
+            L^-1[w] = -(1/c0) * sum over splits u|v = w, u != w, of L^-1[u] L[v].
+
+        This holds for any series with c0 != 0.  A word up to the depth keeps
+        a coefficient only when all its contiguous subwords are in the
+        support; the others are undefined and dropped.
+        """
         c0 = self.coeffs.get(EMPTY_WORD)
         if c0 is None or c0 == 0:
             raise ConfigError("cannot invert a series with no constant term")
-        nilpotent = NcSeries(
-            {w: (-c / c0 if not w.is_empty else 0j) for w, c in self.coeffs.items()},
-            self.depth,
-        )
-        acc = NcSeries.identity(self.coeffs, self.depth)
-        power = NcSeries.identity(self.coeffs, self.depth)
-        for _ in range(self.depth):
-            power = power.product(nilpotent)
-            acc = _series_add(acc, power)
-        return NcSeries({w: c / c0 for w, c in acc.coeffs.items()}, self.depth)
+        support = tuple(self.coeffs)
+        plan = _split_plan(support, support, self.depth)
+        c = self._values()
+        inv = np.zeros(len(support), dtype=complex)
+        defined = np.zeros(len(support), dtype=bool)
+        for n, lo, hi, first in plan.levels:
+            pos = plan.index[lo:hi]
+            if n == 0:
+                inv[pos] = 1.0 / c0
+                defined[pos] = True
+                continue
+            # drop the last split, the one with u = w
+            block = slice(first, first + (n + 1) * (hi - lo))
+            u = plan.left[block].reshape(n + 1, hi - lo)[:-1]
+            v = plan.right[block].reshape(n + 1, hi - lo)[:-1]
+            ok = defined[u].all(axis=0)
+            inv[pos[ok]] = -_sum_rows(_mul(inv[u[:, ok]], c[v[:, ok]])) / c0
+            defined[pos[ok]] = True
+        ok = defined[plan.index]
+        words = compress(plan.words, ok)
+        return NcSeries(dict(zip(words, inv[plan.index[ok]].tolist())), self.depth)
 
     def max_abs_diff(self, other: "NcSeries", words: Iterable[Word] | None = None) -> float:
         keys = set(self.coeffs) & set(other.coeffs)
@@ -187,14 +288,6 @@ class NcSeries:
 
     def __repr__(self) -> str:
         return f"NcSeries({len(self.coeffs)} words, depth={self.depth})"
-
-
-def _series_add(a: NcSeries, b: NcSeries) -> NcSeries:
-    out = dict(a.coeffs)
-    for w, c in b.coeffs.items():
-        if w in out:
-            out[w] = out[w] + c
-    return NcSeries(out, min(a.depth, b.depth))
 
 
 def compose_series(after: NcSeries, before: NcSeries) -> NcSeries:
@@ -237,13 +330,14 @@ def _solve_segment(
     labels = sorted({w[0] for w in words if not w.is_empty})
     g = _node_values(basis, seg, labels, exempt)
     ones = np.ones(_N_NODES, dtype=complex)
-    nodewise: dict[Word, np.ndarray] = {EMPTY_WORD: ones}
+    nodewise: dict[tuple, np.ndarray] = {(): ones}
     coeffs: dict[Word, complex] = {EMPTY_WORD: 1.0 + 0j}
     for w in words:
-        if w.is_empty:
+        ls = w.letters
+        if not ls:
             continue
-        integrand = g[w[0]] * nodewise[Word(w.letters[1:])]
-        nodewise[w] = _INT_MATRIX @ integrand
+        integrand = g[ls[0]] * nodewise[ls[1:]]
+        nodewise[ls] = _INT_MATRIX @ integrand
         coeffs[w] = complex(_END_ROW @ integrand)
     return NcSeries(coeffs, max(len(w) for w in words))
 
@@ -259,13 +353,16 @@ def _adaptive_segment(
     tol: float,
     level: int,
     force_levels: int,
+    direct: NcSeries | None = None,
 ) -> tuple[NcSeries, float]:
     # Pieces touching the segment start use the restricted word set; the
     # puncture exemption applies to the whole segment, whose early pieces
-    # are legitimately close to a regularized start.
+    # are legitimately close to a regularized start.  ``direct`` is the
+    # parent's solve of this very piece on the same words, when there is one.
     words = zero_words if (a == 0.0 and zero_words is not None) else words_full
     mid = 0.5 * (a + b)
-    direct = _solve_segment(basis, seg.restrict(a, b), words, exempt)
+    if direct is None:
+        direct = _solve_segment(basis, seg.restrict(a, b), words, exempt)
     left = _solve_segment(basis, seg.restrict(a, mid), words, exempt)
     right = _solve_segment(basis, seg.restrict(mid, b), words_full, exempt)
     composed = right.product(left)
@@ -283,10 +380,12 @@ def _adaptive_segment(
     # A 0.6 child factor keeps the split budget near tol while still
     # terminating when the residual is noise that scales with piece length.
     left, err_l = _adaptive_segment(
-        basis, seg, a, mid, words_full, zero_words, exempt, 0.6 * tol, level + 1, force_levels
+        basis, seg, a, mid, words_full, zero_words, exempt, 0.6 * tol, level + 1, force_levels,
+        direct=left,
     )
     right, err_r = _adaptive_segment(
-        basis, seg, mid, b, words_full, None, exempt, 0.6 * tol, level + 1, force_levels
+        basis, seg, mid, b, words_full, None, exempt, 0.6 * tol, level + 1, force_levels,
+        direct=right,
     )
     return right.product(left), err_l + err_r
 

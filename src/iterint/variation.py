@@ -33,6 +33,9 @@ from .transport import iterated_integral
 from .words import GeneralizedWord, Word
 
 _CROSS_CHECK_TOL = 1e-12
+# redraws before a random torus draw gives up; a modulus with Im tau about
+# 0.7 still needs up to about 800 request draws
+_MAX_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -218,8 +221,9 @@ def random_sphere_request(rng: random.Random) -> VariationRequest:
 def random_torus_basis(rng: random.Random, tau: complex) -> FormBasis:
     """Four punctures pairwise at least 0.3 apart mod the lattice, the first
     at 0, with the basis dz, (1,0), (3,2), (0,2) of pairwise-disjoint pole
-    pairs; a draw that cannot place all four in 200 tries starts over."""
-    while True:
+    pairs; a draw that cannot place all four in 200 tries starts over, and
+    after ``_MAX_DRAWS`` draws the modulus is rejected."""
+    for _ in range(_MAX_DRAWS):
         pts = [0j]
         tries = 0
         while len(pts) < 4 and tries < 200:
@@ -229,6 +233,10 @@ def random_torus_basis(rng: random.Random, tau: complex) -> FormBasis:
                 pts.append(cand)
         if len(pts) == 4:
             break
+    else:
+        raise ConfigError(
+            f"no four punctures 0.3 apart found in {_MAX_DRAWS} draws at tau={tau}"
+        )
     forms = (
         FormSpec.dz(),
         FormSpec.elliptic_log(1, 0),
@@ -240,8 +248,9 @@ def random_torus_basis(rng: random.Random, tau: complex) -> FormBasis:
 
 def random_torus_request(rng: random.Random, tau: complex = 1j) -> VariationRequest:
     """A random torus basis (``random_torus_basis``) and a straight path
-    clearing every pole translate by at least 0.2."""
-    while True:
+    clearing every pole translate by at least 0.2; a basis with no such path
+    in 40 tries is redrawn, up to ``_MAX_DRAWS`` times."""
+    for _ in range(_MAX_DRAWS):
         basis = random_torus_basis(rng, tau)
         for _ in range(40):
             base = complex(rng.uniform(-0.3, 0.0), rng.uniform(-0.45, -0.1))
@@ -249,3 +258,7 @@ def random_torus_request(rng: random.Random, tau: complex = 1j) -> VariationRequ
             seg = LineSegment(base, z)
             if _segment_clear(basis.surface, seg, 0.2):
                 return VariationRequest(basis, Word((0, 1, 2)), 2, z, base)
+    raise ConfigError(
+        f"no path clearing every pole translate by 0.2 found in {_MAX_DRAWS} "
+        f"draws at tau={tau}"
+    )

@@ -51,15 +51,6 @@ class Word:
     def concat(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
 
-    def trailing_run(self, j: FormLabel) -> int:
-        """Number of consecutive copies of ``j`` at the right end."""
-        n = 0
-        for a in reversed(self.letters):
-            if a != j:
-                break
-            n += 1
-        return n
-
     def leading_run(self, j: FormLabel) -> int:
         """Number of consecutive copies of ``j`` at the left end."""
         n = 0
@@ -68,9 +59,6 @@ class Word:
                 break
             n += 1
         return n
-
-    def drop_trailing(self, k: int) -> "Word":
-        return Word(self.letters[: len(self.letters) - k]) if k else self
 
     def reversed(self) -> "Word":
         return Word(self.letters[::-1])
@@ -226,40 +214,73 @@ def shuffle_gw(u: Word | GeneralizedWord, v: Word | GeneralizedWord) -> Generali
     return GeneralizedWord(acc)
 
 
+_DECOMPOSE_CACHE_SIZE = 4096
+
+
+def _trailing_run(letters: tuple, j: FormLabel) -> int:
+    """Number of consecutive copies of ``j`` at the right end."""
+    n = 0
+    for a in reversed(letters):
+        if a != j:
+            break
+        n += 1
+    return n
+
+
+@lru_cache(maxsize=_DECOMPOSE_CACHE_SIZE)
+def _decomposition(
+    letters: tuple, j: FormLabel
+) -> tuple[tuple[int, tuple[tuple[Word, int], ...]], ...]:
+    """:func:`decompose_at` of one plain word, with integer multiplicities.
+
+    Returns ``((i, ((word, m), ...)), ...)``, powers increasing and each
+    part's words sorted as :meth:`GeneralizedWord.items` sorts them.  The
+    expansion is found by repeatedly stripping the summands with the maximal
+    trailing run of ``j`` and subtracting their shuffle with that power word.
+    """
+    remaining = {letters: 1}
+    parts: dict[int, dict[tuple, int]] = {}
+    while remaining:
+        k = max(_trailing_run(t, j) for t in remaining)
+        bucket = {
+            t[: len(t) - k]: m for t, m in remaining.items() if _trailing_run(t, j) == k
+        }
+        part = parts.setdefault(k, {})
+        for t, m in bucket.items():
+            part[t] = part.get(t, 0) + m
+        if not k:
+            break
+        jk = (j,) * k
+        for t, m in bucket.items():
+            for s, n in _shuffle_letters(t, jk):
+                remaining[s] = remaining.get(s, 0) - m * n
+        remaining = {t: m for t, m in remaining.items() if m}
+    out = []
+    for i in sorted(parts):
+        terms = sorted(
+            ((t, m) for t, m in parts[i].items() if m), key=lambda tm: (len(tm[0]), tm[0])
+        )
+        if terms:
+            out.append((i, tuple((Word(t), m) for t, m in terms)))
+    return tuple(out)
+
+
 def decompose_at(
     w: Word | GeneralizedWord, j: FormLabel
 ) -> list[tuple[int, GeneralizedWord]]:
     """Write ``w`` as sum_i  w(i) ⧢ j^i  with no word of w(i) ending in ``j``.
 
     Returns ``[(i, w(i))]`` sorted by increasing power, zero parts dropped.
-    The expansion exists and is unique; it is found by repeatedly stripping
-    the summands with the maximal trailing run of ``j`` and subtracting their
-    shuffle with the corresponding power word.  Ring operations only, so
-    exact coefficients stay exact.
+    The expansion exists and is unique, so it is the linear extension of the
+    memoized expansion of each plain word.  Ring operations only, so exact
+    coefficients stay exact.
     """
-    remaining = _as_gw(w).terms
     parts: dict[int, dict[Word, Any]] = {}
-    while remaining:
-        k = max(wd.trailing_run(j) for wd in remaining)
-        bucket = {
-            wd.drop_trailing(k): c
-            for wd, c in remaining.items()
-            if wd.trailing_run(j) == k
-        }
-        part = parts.setdefault(k, {})
-        for wd, c in bucket.items():
-            part[wd] = part.get(wd, 0) + c
-        if k == 0:
-            for wd in bucket:
-                remaining.pop(wd, None)
-            remaining = {wd: c for wd, c in remaining.items() if c != 0}
-            continue
-        jk = (j,) * k
-        for wd, c in bucket.items():
-            for t, m in _shuffle_letters(wd.letters, jk):
-                key = Word(t)
-                remaining[key] = remaining.get(key, 0) - c * m
-        remaining = {wd: c for wd, c in remaining.items() if c != 0}
+    for wd, c in _as_gw(w)._terms.items():
+        for i, terms in _decomposition(wd.letters, j):
+            part = parts.setdefault(i, {})
+            for u, m in terms:
+                part[u] = part.get(u, 0) + c * m
     out = []
     for i in sorted(parts):
         gw = GeneralizedWord(parts[i])

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with different algorithms from the
 package code: shuffles by explicit position choice, zeta by Euler-Maclaurin
-summation, winding numbers by dense midpoint quadrature.
+summation, winding numbers by dense midpoint quadrature, series products and
+inverses on plain dicts (the inverse by its sum over compositions).
 """
 
 from __future__ import annotations
@@ -26,6 +27,59 @@ def brute_shuffle(a: tuple, b: tuple) -> dict[tuple, int]:
         key = tuple(out)
         acc[key] = acc.get(key, 0) + 1
     return acc
+
+
+def ref_product(left: dict, right: dict, depth: int) -> dict:
+    """Series product on dicts keyed by letter tuples, splits in order.
+
+    A word up to ``depth`` is kept when every split u|v has u in ``left``
+    and v in ``right``.
+    """
+    out = {}
+    for w in set(left) | set(right):
+        if len(w) > depth:
+            continue
+        splits = [(left.get(w[:i]), right.get(w[i:])) for i in range(len(w) + 1)]
+        if all(u is not None and v is not None for u, v in splits):
+            out[w] = sum(u * v for u, v in splits)
+    return out
+
+
+def _compositions(w: tuple):
+    """Every cut of w into nonempty consecutive pieces."""
+    if not w:
+        yield ()
+        return
+    for i in range(1, len(w) + 1):
+        for rest in _compositions(w[i:]):
+            yield (w[:i],) + rest
+
+
+def ref_inverse(series: dict, depth: int) -> dict:
+    """Inverse on a dict keyed by letter tuples, by the explicit sum
+
+        L^-1[w] = sum over w = f_1 ... f_k, f_i nonempty, of
+                  (-1)^k L[f_1] ... L[f_k] / c0^(k+1).
+
+    A word up to ``depth`` is kept when every contiguous subword of it is in
+    the support; otherwise some term is unknown.
+    """
+    c0 = series[()]
+    out = {}
+    for w in series:
+        n = len(w)
+        if n > depth:
+            continue
+        if any(w[i:j] not in series for i in range(n) for j in range(i + 1, n + 1)):
+            continue
+        total = 0
+        for pieces in _compositions(w):
+            term = (-1) ** len(pieces) / c0 ** (len(pieces) + 1)
+            for f in pieces:
+                term *= series[f]
+            total += term
+        out[w] = total
+    return out
 
 
 # Bernoulli numbers B_2, B_4, B_6 for the Euler-Maclaurin tail.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -182,6 +183,15 @@ class TestCheck:
         with pytest.raises(SystemExit) as info:
             main(["check", "nonsense"])
         assert info.value.code == 2
+
+    def test_small_im_tau_exits_2(self, capsys):
+        # no drawn path clears every pole translate at this modulus; the
+        # bounded redraws end the run as a configuration error
+        start = time.perf_counter()
+        rc = main(["check", "variation", "--genus", "1", "--tau", "0.45+0.55i"])
+        assert rc == 2
+        assert time.perf_counter() - start < 10.0
+        assert "draws at tau" in capsys.readouterr().err
 
     def test_bad_tau(self, capsys):
         assert main(["check", "fay", "--tau", "banana"]) == 2

@@ -16,7 +16,6 @@ from iterint.errors import (
 )
 from iterint.paths import LineSegment, LoopSpec, Path, line_path
 from iterint.regularization import (
-    AsymptoticExpansion,
     RegularizedTransport,
     associator,
     asymptotic_expansion,
@@ -366,6 +365,18 @@ class TestAssociator:
             worsts.append(worst)
         assert worsts[1] < worsts[0]
         assert worsts[1] < 0.05
+
+    def test_depth8_series_times_inverse_is_one(self, sphere01):
+        _, b = sphere01
+        s = RegularizedTransport.along(
+            line_path(0.0, 0.4 + 0.3j), b, depth=8, puncture=0
+        ).series()
+        inv = s.invert()
+        assert inv.coeffs.keys() == s.coeffs.keys()
+        for one in (s.product(inv), inv.product(s)):
+            assert one.coeffs.keys() == s.coeffs.keys()
+            assert abs(one.coefficient(word()) - 1) < 1e-12
+            assert max(abs(c) for w, c in one.coeffs.items() if not w.is_empty) < 1e-12
 
     def test_argument_validation(self, sphere01):
         _, b = sphere01

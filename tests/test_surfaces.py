@@ -16,7 +16,6 @@ from iterint.errors import (
 from iterint.surfaces import (
     FormBasis,
     FormSpec,
-    StructureConstants,
     SurfaceConfig,
     ThetaParams,
     basis_from_json,

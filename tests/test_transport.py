@@ -2,8 +2,8 @@
 
 import cmath
 import math
+import random
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -30,7 +30,9 @@ from iterint.transport import (
     transport_series,
 )
 import iterint.transport as transport_mod
-from iterint.words import EMPTY_WORD, GeneralizedWord, Word, shuffle, word
+from iterint.words import EMPTY_WORD, GeneralizedWord, shuffle, word
+
+from oracles import ref_inverse, ref_product
 
 # frozen references (20-digit evaluations of the classical polylogarithm)
 LI2_06 = 0.72758630771633338951
@@ -124,6 +126,48 @@ class TestNcSeries:
         assert abs(both.coefficient(EMPTY_WORD) - 1) < 1e-14
         nonzero = max(abs(both.coefficient(w)) for w in support if not w.is_empty)
         assert nonzero < 1e-13
+
+    def test_invert_drops_words_of_missing_factors(self):
+        # (0) and (1) are not in the support: the (0, 1) coefficient of the
+        # inverse is -2 if they are zero and something else otherwise
+        inv = NcSeries({EMPTY_WORD: 1, word(0, 1): 2}, 2).invert()
+        assert inv.coeffs == {EMPTY_WORD: 1}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_product_and_invert_match_reference(self, seed):
+        # random supports: mismatched between the factors, rarely
+        # factor-closed, sometimes without the empty word
+        rng = random.Random(seed)
+        letters = rng.choice((2, 3))
+
+        def draw():
+            depth = rng.randint(2, 4)
+            coeffs = {}
+            for w in all_words(range(letters), depth):
+                if rng.random() < (0.9 if w.is_empty else 0.75):
+                    coeffs[w] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            if EMPTY_WORD in coeffs:
+                coeffs[EMPTY_WORD] += 2.0
+            return NcSeries(coeffs, depth)
+
+        def plain(s):
+            return {w.letters: c for w, c in s.coeffs.items()}
+
+        a, b = draw(), draw()
+        got = plain(a.product(b))
+        want = ref_product(plain(a), plain(b), min(a.depth, b.depth))
+        assert got.keys() == want.keys()
+        # same splits summed in the same order; only a platform that fuses
+        # multiply-adds on one side may move the last bits
+        assert all(abs(got[w] - want[w]) < 1e-14 for w in want)
+        if EMPTY_WORD not in a.coeffs:
+            with pytest.raises(ConfigError):
+                a.invert()
+            return
+        got = plain(a.invert())
+        want = ref_inverse(plain(a), a.depth)
+        assert got.keys() == want.keys()
+        assert all(abs(got[w] - want[w]) < 1e-12 for w in want)
 
     def test_invert_needs_constant_term(self):
         with pytest.raises(ConfigError):

@@ -12,6 +12,7 @@ from iterint.errors import (
 from iterint.paths import line_path
 from iterint.surfaces import FormBasis, FormSpec, SurfaceConfig
 from iterint.transport import iterated_integral
+import iterint.variation as variation_mod
 from iterint.variation import (
     VariationRequest,
     _fused_combination,
@@ -20,6 +21,7 @@ from iterint.variation import (
     fd_variation,
     genus0_variation_rhs,
     random_sphere_request,
+    random_torus_basis,
     random_torus_request,
     variation_rhs,
 )
@@ -113,6 +115,15 @@ class TestGenus1:
             rhs = elliptic_variation_rhs(req)
             fd = fd_variation(req, 1e-4)
             assert abs(rhs - fd) / abs(rhs) < 1e-4
+
+    def test_redraws_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(variation_mod, "_MAX_DRAWS", 3)
+        # Im tau = 0.1 has room for three punctures 0.3 apart, not four
+        with pytest.raises(ConfigError):
+            random_torus_basis(random.Random(0), 0.1j)
+        # at Im tau = 0.55 no path of the drawn box clears every pole translate
+        with pytest.raises(ConfigError):
+            random_torus_request(random.Random(0), 0.45 + 0.55j)
 
     def test_shared_poles_rejected(self, torus4):
         # forms 1 and 3 both have a pole at puncture 0

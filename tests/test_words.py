@@ -149,6 +149,31 @@ class TestDecomposeAt:
                 assert w.is_empty or w[len(w) - 1] != j
 
 
+    def test_mixed_fraction_coefficients(self):
+        g = GeneralizedWord(
+            {
+                EMPTY_WORD: Fraction(1, 9),
+                word(1, 1): 2,
+                word(0, 1, 1): Fraction(1, 3),
+                word(1, 0, 1): Fraction(-5, 7),
+                word(0, 2, 1, 1): Fraction(3, 2),
+                word(2, 1, 0): -3,
+            }
+        )
+        for j in (1, 0, 1):
+            parts = decompose_at(g, j)
+            rebuilt = GeneralizedWord.zero()
+            for i, part in parts:
+                rebuilt = rebuilt + shuffle_gw(part, GeneralizedWord.of(word_power(j, i)))
+                for c in part.terms.values():
+                    assert type(c) in (int, Fraction)
+            assert rebuilt == g
+            assert any(type(c) is Fraction for _, p in parts for c in p.terms.values())
+            # the per-word expansions are memoized; repeats must not drift
+            assert decompose_at(g, j) == parts
+            assert decompose_leading(g, j) == decompose_leading(g, j)
+
+
 class TestDecomposeLeading:
     def test_reversed_roundtrip(self):
         w = word(0, 1, 1, 2)
