@@ -37,7 +37,6 @@ from .errors import (
     MissingLabelError,
     NotGoodPunctureError,
     PoleProximityError,
-    ToleranceError,
 )
 from .paths import (
     LineSegment,
@@ -59,6 +58,7 @@ from .transport import (
     NcSeries,
     _END_ROW,
     _NODES,
+    _adaptive_segment,
     all_words,
     factor_closure,
     segment_transport,
@@ -76,7 +76,6 @@ from .words import (
 )
 
 _START_TOL = 1e-12
-_SCALAR_MAX_LEVEL = 40
 _LADDER_RATIO = 0.05
 _LADDER_RUNGS = 14
 _GUARD_MARGIN = 3.0
@@ -127,37 +126,6 @@ def _puncture_at(basis: FormBasis, z: complex, hint: int | None) -> int:
         if abs(z - p) <= _START_TOL:
             return idx
     raise EndpointMismatchError(f"path start {z} does not sit on a puncture")
-
-
-# ---------------------------------------------------------------------------
-# scalar quadrature
-
-
-def _gl_segment(fn, seg: Segment, a: float, b: float) -> complex:
-    h = b - a
-    total = 0j
-    for x, wgt in zip(_NODES, _END_ROW):
-        t = a + h * x
-        total += wgt * fn(seg.point(t)) * seg.velocity(t)
-    return h * total
-
-
-def _scalar_adaptive(
-    fn, seg: Segment, a: float, b: float, tol: float, level: int = 0
-) -> tuple[complex, float]:
-    mid = 0.5 * (a + b)
-    direct = _gl_segment(fn, seg, a, b)
-    halves = _gl_segment(fn, seg, a, mid) + _gl_segment(fn, seg, mid, b)
-    diff = abs(direct - halves)
-    if diff < tol:
-        return halves, diff
-    if level >= _SCALAR_MAX_LEVEL:
-        raise ToleranceError(
-            f"scalar refinement stalled at level {level} (residual {diff:.3g})"
-        )
-    left, el = _scalar_adaptive(fn, seg, a, mid, 0.5 * tol, level + 1)
-    right, er = _scalar_adaptive(fn, seg, mid, b, 0.5 * tol, level + 1)
-    return left + right, el + er
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +193,17 @@ def reg_line_integral(
     err = 0.0
     if integrand is not None:
         seg_tol = tol / len(path.segments)
+        letter = word(k)
         for seg in path.segments:
-            piece, piece_err = _scalar_adaptive(integrand, seg, 0.0, 1.0, seg_tol)
-            total += piece
+            # a piece is the depth-one series {(): 1, (k): its integral}, so
+            # the bisection's products add the pieces' integrals
+            def solve(a: float, b: float, seg=seg) -> NcSeries:
+                piece = seg.restrict(a, b)
+                vals = [integrand(piece.point(t)) * piece.velocity(t) for t in _NODES]
+                return NcSeries({EMPTY_WORD: 1.0 + 0j, letter: complex(_END_ROW @ vals)}, 1)
+
+            series, piece_err = _adaptive_segment(solve, 0.0, 1.0, seg_tol, 0)
+            total += series.coeffs[letter]
             err += piece_err
     if res:
         total += res * log_variation(path, basis.surface.punctures[j])
@@ -277,7 +253,6 @@ class RegularizedTransport:
         words: Iterable[Word] | None = None,
         puncture: int | None = None,
         tol: float = 1e-12,
-        force_levels: int = 0,
     ) -> "RegularizedTransport":
         if (depth is None) == (words is None):
             raise ConfigError("give exactly one of depth= or words=")
@@ -311,7 +286,6 @@ class RegularizedTransport:
             zero_words=v_support,
             exempt=j,
             tol=seg_tol,
-            force_levels=force_levels,
         )
         reg = reg_line_integral(Path((segs[0],)), kj, basis, tol=seg_tol)
         lam = reg.value

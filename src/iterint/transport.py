@@ -29,7 +29,8 @@ runs the same plan once, one word length at a time.
 Each segment is integrated on 16 Gauss-Legendre nodes with a spectral
 integration matrix, nested over word length, and bisected adaptively until
 direct and composed evaluations agree to tolerance; a child piece reuses
-its parent's solve of it as its own direct evaluation.
+its parent's solve of it as its own direct evaluation.  The same bisection
+serves the regularized line integral, whose pieces are depth-one series.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -343,50 +344,41 @@ def _solve_segment(
 
 
 def _adaptive_segment(
-    basis: FormBasis,
-    seg: Segment,
+    solve: Callable[[float, float], NcSeries],
     a: float,
     b: float,
-    words_full: Sequence[Word],
-    zero_words: Sequence[Word] | None,
-    exempt: int | None,
     tol: float,
     level: int,
-    force_levels: int,
     direct: NcSeries | None = None,
 ) -> tuple[NcSeries, float]:
-    # Pieces touching the segment start use the restricted word set; the
-    # puncture exemption applies to the whole segment, whose early pieces
-    # are legitimately close to a regularized start.  ``direct`` is the
-    # parent's solve of this very piece on the same words, when there is one.
-    words = zero_words if (a == 0.0 and zero_words is not None) else words_full
+    """Bisect [a, b] until the solve of the piece agrees with its two halves.
+
+    ``solve(a, b)`` returns the series of the piece [a, b] of the segment;
+    ``direct`` is the parent's solve of this very piece, when there is one.
+    Returns the composed series and an error estimate.
+    """
     mid = 0.5 * (a + b)
     if direct is None:
-        direct = _solve_segment(basis, seg.restrict(a, b), words, exempt)
-    left = _solve_segment(basis, seg.restrict(a, mid), words, exempt)
-    right = _solve_segment(basis, seg.restrict(mid, b), words_full, exempt)
+        direct = solve(a, b)
+    left = solve(a, mid)
+    right = solve(mid, b)
     composed = right.product(left)
-    diff = direct.max_abs_diff(composed, words)
+    diff = direct.max_abs_diff(composed)
     # Below the rounding floor of the coefficients themselves nothing can be
-    # gained by splitting; accept and report the residual honestly.
+    # gained by splitting; accept, and report no less than the floor, which
+    # the composed value can still be off by.
     scale = max((abs(c) for c in direct.coeffs.values()), default=0.0)
     floor = 64.0 * np.finfo(float).eps * scale
-    if (diff < tol or diff < floor) and level >= force_levels:
-        return composed, diff
+    if diff < tol or diff < floor:
+        return composed, max(diff, floor)
     if level >= _MAX_LEVEL:
         raise ToleranceError(
             f"segment refinement stalled at level {level} (residual {diff:.3g}, tol {tol:.3g})"
         )
     # A 0.6 child factor keeps the split budget near tol while still
     # terminating when the residual is noise that scales with piece length.
-    left, err_l = _adaptive_segment(
-        basis, seg, a, mid, words_full, zero_words, exempt, 0.6 * tol, level + 1, force_levels,
-        direct=left,
-    )
-    right, err_r = _adaptive_segment(
-        basis, seg, mid, b, words_full, None, exempt, 0.6 * tol, level + 1, force_levels,
-        direct=right,
-    )
+    left, err_l = _adaptive_segment(solve, a, mid, 0.6 * tol, level + 1, direct=left)
+    right, err_r = _adaptive_segment(solve, mid, b, 0.6 * tol, level + 1, direct=right)
     return right.product(left), err_l + err_r
 
 
@@ -398,7 +390,6 @@ def segment_transport(
     zero_words: Sequence[Word] | None = None,
     exempt: int | None = None,
     tol: float = 1e-12,
-    force_levels: int = 0,
 ) -> tuple[NcSeries, float]:
     """Transport along one segment.
 
@@ -408,9 +399,15 @@ def segment_transport(
     guard is waived there.  Returns the series and an error estimate.
     """
     _check_clearance(basis, seg, exempt)
-    return _adaptive_segment(
-        basis, seg, 0.0, 1.0, list(words_full), zero_words, exempt, tol, 0, force_levels
-    )
+    words_full = list(words_full)
+
+    # The puncture exemption applies to the whole segment, whose early
+    # pieces are legitimately close to a regularized start.
+    def solve(a: float, b: float) -> NcSeries:
+        words = zero_words if (a == 0.0 and zero_words is not None) else words_full
+        return _solve_segment(basis, seg.restrict(a, b), words, exempt)
+
+    return _adaptive_segment(solve, 0.0, 1.0, tol, 0)
 
 
 def _check_clearance(basis: FormBasis, seg: Segment, exempt: int | None) -> None:
@@ -445,7 +442,6 @@ def transport_series(
     depth: int | None = None,
     words: Iterable[Word] | None = None,
     tol: float = 1e-12,
-    force_levels: int = 0,
 ) -> TransportResult:
     """Series of all requested iterated integrals along the path.
 
@@ -471,9 +467,7 @@ def transport_series(
     total: NcSeries | None = None
     err = 0.0
     for seg in path.segments:
-        piece, piece_err = segment_transport(
-            basis, seg, wordlist, tol=seg_tol, force_levels=force_levels
-        )
+        piece, piece_err = segment_transport(basis, seg, wordlist, tol=seg_tol)
         err += piece_err
         total = piece if total is None else piece.product(total)
     return TransportResult(total, err)

@@ -51,15 +51,6 @@ class Word:
     def concat(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
 
-    def leading_run(self, j: FormLabel) -> int:
-        """Number of consecutive copies of ``j`` at the left end."""
-        n = 0
-        for a in self.letters:
-            if a != j:
-                break
-            n += 1
-        return n
-
     def reversed(self) -> "Word":
         return Word(self.letters[::-1])
 
@@ -178,7 +169,10 @@ def _as_gw(w: Word | GeneralizedWord | Iterable[FormLabel]) -> GeneralizedWord:
     return GeneralizedWord.of(w)
 
 
-@lru_cache(maxsize=None)
+_SHUFFLE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_SHUFFLE_CACHE_SIZE)
 def _shuffle_letters(a: tuple, b: tuple) -> tuple[tuple[tuple, int], ...]:
     if not a:
         return ((b, 1),)

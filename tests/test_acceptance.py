@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from iterint.paths import LoopSpec, compose, line_path, loop_around
+from iterint.paths import LoopSpec, compose, line_path
 from iterint.regularization import (
     RegularizedTransport,
     associator,

@@ -124,12 +124,53 @@ class TestRegLineIntegral:
         want = mpmath.quad(integrand, [0, 1]) + mpmath.log(abs(end - s.punctures[1]))
         assert abs(r.value - complex(want)) < 1e-11
 
+    def test_small_im_tau_does_not_stall(self):
+        # at tau = 0.15i the subtracted integrand is rough at the rounding
+        # level, so refinement must stop at the rounding floor.  The gap to
+        # mpmath comes from dlog_theta_sub's series near the start, not from
+        # the quadrature, so it is checked against 1e-9, not against error.
+        s = SurfaceConfig(1, (0.0, 0.45, 0.25 + 0.35j), tau=0.15j)
+        b = FormBasis.genus1(s)
+        start, end = s.punctures[2], 0.35 + 0.175j
+        r = reg_line_integral(line_path(start, end), 2, b)
+
+        with mpmath.workdps(30):
+            q = mpmath.exp(1j * mpmath.pi * s.tau)
+
+            def dlog(x):
+                u = mpmath.pi * x
+                return mpmath.pi * mpmath.jtheta(1, u, q, 1) / mpmath.jtheta(1, u, q)
+
+            def integrand(t):
+                z = start + t * (end - start)
+                zeta = z - start
+                return (dlog(zeta) - 1 / zeta - dlog(z - s.punctures[0])) * (end - start)
+
+            want = mpmath.quad(integrand, [0, 1]) + mpmath.log(abs(end - start))
+        assert abs(r.value - complex(want)) < 1e-9
+
     def test_start_must_sit_on_puncture(self, sphere01):
         _, b = sphere01
         with pytest.raises(EndpointMismatchError):
             reg_line_integral(line_path(0.2, 0.8), 0, b)
         with pytest.raises(ConfigError):
             reg_line_integral(line_path(0.0, 0.5), 7, b)
+
+
+class TestErrorCalibration:
+    @pytest.mark.parametrize(
+        "z", [0.3, -0.5, 0.9, 0.6 + 0.3j, -0.4 + 0.7j, 0.2 - 0.85j, -0.9j]
+    )
+    def test_polylog_error_bounds_the_truth(self, sphere01, z):
+        # the word 0^(n-1) 1 from the puncture 0 is -Li_n(z); every reported
+        # error must cover the distance to the mpmath value
+        _, b = sphere01
+        for n in range(2, 11):
+            w = Word((0,) * (n - 1) + (1,))
+            rt = RegularizedTransport.along(line_path(0.0, z), b, words=[w], puncture=0)
+            with mpmath.workdps(30):
+                want = -complex(mpmath.polylog(n, z))
+            assert abs(rt.value(w) - want) <= rt.error, n
 
 
 class TestRegIterated:

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -304,18 +305,50 @@ class TestTransportProperties:
             sh = shuffle(u, v)
             assert abs(t.coefficient(u) * t.coefficient(v) - t.coefficient(sh)) < 1e-12
 
-    def test_forced_refinement_converges(self, sphere01):
-        # a path passing near the second puncture: coarse sweeps are visibly
-        # wrong, forced bisection fixes them
+    def test_tolerance_drives_refinement(self, sphere01):
+        # a path passing near the second puncture: a loose tolerance stops
+        # after a visibly wrong coarse sweep, a tight one bisects it away,
+        # and each reported error covers the true difference
         _, b = sphere01
         p = line_path(0.5 + 0.04j, 1.5 + 0.04j)
         ref = transport_series(p, b, depth=2, tol=1e-13).series
-        errs = []
-        for force in (0, 2, 4):
-            t = transport_series(p, b, depth=2, tol=1e30, force_levels=force).series
-            errs.append(ref.max_abs_diff(t))
-        assert errs[2] < errs[0]
-        assert errs[2] < 1e-8
+        coarse, fine = (transport_series(p, b, depth=2, tol=tol) for tol in (1e-2, 1e-8))
+        coarse_diff = ref.max_abs_diff(coarse.series)
+        fine_diff = ref.max_abs_diff(fine.series)
+        assert fine_diff < coarse_diff
+        assert fine_diff < 1e-8
+        assert coarse.error >= coarse_diff
+        assert fine.error >= fine_diff
+
+
+class TestErrorCalibration:
+    @pytest.mark.parametrize("tau", [0.5j, 1j, 0.3 + 0.8j])
+    def test_depth_one_error_bounds_the_truth(self, tau):
+        # an elliptic form is a difference of dlog theta11, so its integral
+        # is a difference of log-ratios of theta along the segment; summing
+        # the logs over short steps keeps every ratio off the branch cut
+        s = SurfaceConfig(1, (0.0, 0.45, 0.25 + 0.35j), tau=tau)
+        b = FormBasis.genus1(s)
+        segments = [
+            (0.6 + 0.2j, 0.75 + 0.3j),
+            (0.1 + 0.3j, -0.05 + 0.4j),
+            (0.3 - 0.2j, 0.45 - 0.1j),
+            (0.7 + 0.45j, 0.6 + 0.6j),
+        ]
+        with mpmath.workdps(20):
+            q = mpmath.exp(1j * mpmath.pi * tau)
+            for a, e in segments:
+                r = transport_series(line_path(a, e), b, depth=1)
+                steps = [a + (e - a) * i / 8 for i in range(9)]
+
+                def log_ratio(p):
+                    th = lambda x: mpmath.jtheta(1, mpmath.pi * (x - p), q)
+                    return sum(mpmath.log(th(z1) / th(z0)) for z0, z1 in zip(steps, steps[1:]))
+
+                for k in (1, 2):
+                    f = b.forms[k]
+                    want = complex(log_ratio(s.punctures[f.k1]) - log_ratio(s.punctures[f.k2]))
+                    assert abs(r.series.coefficient(word(k)) - want) <= r.error, (a, k)
 
 
 class TestGuardsAndValidation:
