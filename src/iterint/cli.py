@@ -49,6 +49,7 @@ from .surfaces import (
 )
 from .transport import all_words, iterated_integral, transport_series
 from .variation import (
+    _MAX_DRAWS,
     fd_variation,
     random_sphere_request,
     random_torus_basis,
@@ -254,27 +255,23 @@ def _suite_shuffle(rng, genus, tau, tol):
 def _suite_fay(rng, tau, tol):
     tol = 1e-8 if tol is None else tol
     params = ThetaParams(tau)
-    cases = []
-    for m in range(30):
-        while True:
+    draws = []
+    for _ in range(30):
+        for _ in range(_MAX_DRAWS):
             pts = [
                 rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0) * tau for _ in range(3)
             ]
-            if all(
-                lattice_distance(pts[u] - pts[v], tau) > 0.15
-                for u in range(3)
-                for v in range(u + 1, 3)
-            ):
+            diffs = [pts[0] - pts[1], pts[0] - pts[2], pts[1] - pts[2]]
+            if lattice_distance(diffs, tau).min() > 0.15:
                 break
-        z, p_i, p_j = pts
-        cases.append(
-            {
-                "case": f"draw-{m:02d}",
-                "residual": abs(fay_residual(z, p_i, p_j, params)),
-                "tol": tol,
-            }
-        )
-    return cases
+        else:
+            raise ConfigError(f"no three points 0.15 apart in {_MAX_DRAWS} draws at tau={tau}")
+        draws.append(pts)
+    residuals = abs(fay_residual(*zip(*draws), params))
+    return [
+        {"case": f"draw-{m:02d}", "residual": float(r), "tol": tol}
+        for m, r in enumerate(residuals)
+    ]
 
 
 def _suite_structure(rng, tau, tol):
@@ -284,18 +281,18 @@ def _suite_structure(rng, tau, tol):
         basis = random_torus_basis(rng, tau)
         s = basis.surface
         sc = structure_constants(basis, 1, 2)
-        for m in range(20):
+        points = []
+        for _ in range(20):
             while True:
                 z = rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0) * tau
                 if s.min_puncture_distance(z) > 0.15:
                     break
-            cases.append(
-                {
-                    "case": f"torus-{t}-pt-{m:02d}",
-                    "residual": abs(sc.residual(basis, z)),
-                    "tol": tol,
-                }
-            )
+            points.append(z)
+        residuals = abs(sc.residual(basis, points))
+        cases += [
+            {"case": f"torus-{t}-pt-{m:02d}", "residual": float(r), "tol": tol}
+            for m, r in enumerate(residuals)
+        ]
     return cases
 
 
@@ -408,16 +405,19 @@ def _suite_associator(genus, tau, depth, tol):
 
 def _cmd_check(args) -> tuple[dict, bool]:
     cfg = _load_config(args.config) if args.config else {}
-    genus = args.genus if args.genus is not None else int(cfg.get("genus", 0))
+    suite = args.suite
+    torus_only = suite in ("fay", "structure")
+    genus = args.genus if args.genus is not None else int(cfg.get("genus", int(torus_only)))
     if genus not in (0, 1):
         raise ConfigError(f"genus must be 0 or 1, got {genus}")
+    if torus_only and genus != 1:
+        raise ConfigError(f"check {suite} runs on a torus; got genus {genus}")
     tau = _parse_tau(args.tau if args.tau is not None else cfg.get("tau", "i"))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     depth = args.depth if args.depth is not None else cfg.get("depth")
     tol = args.tol if args.tol is not None else cfg.get("tol")
     rng = random.Random(seed)
 
-    suite = args.suite
     if suite == "shuffle":
         cases = _suite_shuffle(rng, genus, tau, tol)
     elif suite == "fay":

@@ -1,7 +1,7 @@
 """Piecewise paths in the complex plane: lines, circular arcs, loops.
 
 Paths are tuples of segments with exactly matching junctions.  Each segment
-maps a local parameter s in [0,1] to a point and a velocity; the path also
+maps s in [0,1] (or an array of s) to a point and a velocity; the path also
 offers a global arclength-proportional parametrization.  A path may be
 flagged as starting or ending at a puncture (reg_start / reg_end); those
 endpoints are where regularized integrals are anchored, and the adjacent
@@ -11,10 +11,16 @@ segment must be a straight line so the approach direction is well defined.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
+
+try:  # CPython's own sha256; hashlib's would load OpenSSL (3 MB resident) for a label
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .errors import ConfigError, EndpointMismatchError, PoleProximityError
 
@@ -73,7 +79,7 @@ class ArcSegment:
         return self.theta0 + s * (self.theta1 - self.theta0)
 
     def point(self, s: float) -> complex:
-        return self.center + self.radius * cmath.exp(1j * self._angle(s))
+        return self.center + self.radius * np.exp(1j * self._angle(s))
 
     def velocity(self, s: float) -> complex:
         return 1j * (self.theta1 - self.theta0) * (self.point(s) - self.center)
@@ -84,24 +90,8 @@ class ArcSegment:
     def reversed(self) -> "ArcSegment":
         return ArcSegment(self.center, self.radius, self.theta1, self.theta0)
 
-    @property
-    def start_point(self) -> complex:
-        return self.point(0.0)
-
-    @property
-    def end_point(self) -> complex:
-        return self.point(1.0)
-
 
 Segment = Union[LineSegment, ArcSegment]
-
-
-def _seg_start(seg: Segment) -> complex:
-    return seg.point(0.0)
-
-
-def _seg_end(seg: Segment) -> complex:
-    return seg.point(1.0)
 
 
 @dataclass(frozen=True)
@@ -120,7 +110,7 @@ class Path:
         if not segs:
             raise ConfigError("path needs at least one segment")
         for i in range(len(segs) - 1):
-            a, b = _seg_end(segs[i]), _seg_start(segs[i + 1])
+            a, b = segs[i].point(1.0), segs[i + 1].point(0.0)
             if abs(a - b) > _JUNCTION_TOL * max(1.0, abs(a)):
                 raise EndpointMismatchError(
                     f"segments {i} and {i + 1} meet at {a} vs {b}"
@@ -132,11 +122,11 @@ class Path:
 
     @property
     def start(self) -> complex:
-        return _seg_start(self.segments[0])
+        return self.segments[0].point(0.0)
 
     @property
     def end(self) -> complex:
-        return _seg_end(self.segments[-1])
+        return self.segments[-1].point(1.0)
 
     @property
     def length(self) -> float:
@@ -173,7 +163,7 @@ class Path:
         return seg.velocity(min(max(s, 0.0), 1.0)) * (self.length / seg.length)
 
     def content_id(self) -> str:
-        h = hashlib.sha256()
+        h = sha256()
         for seg in self.segments:
             if isinstance(seg, LineSegment):
                 h.update(f"L{seg.start!r}{seg.end!r}".encode())
@@ -256,9 +246,9 @@ def loop_around(spec: LoopSpec, surface) -> Path:
     arc = ArcSegment(center, r, phi, phi + 2 * math.pi * spec.winding)
     return Path(
         (
-            LineSegment(base, arc.start_point),
+            LineSegment(base, arc.point(0.0)),
             arc,
-            LineSegment(arc.end_point, base),
+            LineSegment(arc.point(1.0), base),
         )
     )
 
@@ -297,8 +287,8 @@ def log_variation(path: Path, pole: complex) -> complex:
     segs = path.segments
     total = 0j
     for i, seg in enumerate(segs):
-        s0 = _seg_start(seg) - pole
-        s1 = _seg_end(seg) - pole
+        s0 = seg.point(0.0) - pole
+        s1 = seg.point(1.0) - pole
         at_start = s0 == 0
         at_end = s1 == 0
         if at_start or at_end:

@@ -36,7 +36,6 @@ from .errors import (
     FitError,
     MissingLabelError,
     NotGoodPunctureError,
-    PoleProximityError,
 )
 from .paths import (
     LineSegment,
@@ -49,10 +48,10 @@ from .paths import (
 )
 from .surfaces import (
     FormBasis,
-    dlog_theta,
+    _form_values,
+    _log_theta,
     dlog_theta_sub,
     eval_form,
-    lattice_distance,
 )
 from .transport import (
     NcSeries,
@@ -148,31 +147,22 @@ class RegularizedValue:
 
 
 def _subtracted_integrand(basis: FormBasis, k: int, j: int):
-    """f_k(z) - res_j(f_k)/(z - P_j), in a form stable near P_j.
+    """f_k(z) - res_j(f_k)/(z - P_j) at arrays of points, stable near P_j.
 
     Returns None when the difference vanishes identically.
     """
     f = basis.forms[k]
-    s = basis.surface
-    p_j = s.punctures[j]
     if f.kind == "genus0_log" and f.pole == j:
         return None
     if f.kind == "elliptic_log" and j in (f.k1, f.k2):
         other = f.k2 if f.k1 == j else f.k1
         sign = 1.0 if f.k1 == j else -1.0
-        p_o = s.punctures[other]
-        theta = basis.theta
-        guard = s.pole_guard
-
-        def h(z: complex) -> complex:
-            if lattice_distance(z - p_o, s.tau) < guard:
-                raise PoleProximityError(
-                    f"evaluation {z} within {guard} of puncture {other} (mod lattice)"
-                )
-            return sign * (dlog_theta_sub(z - p_j, theta) - dlog_theta(z - p_o, theta))
-
-        return h
-    return lambda z: eval_form(basis, k, z)
+        s, theta, name = basis.surface, basis.theta, [f"puncture {other}"]
+        return lambda z: sign * (
+            dlog_theta_sub(z - s.punctures[j], theta)
+            - _log_theta((z - s.punctures[other])[None], theta, 1, s.pole_guard, name)[0][0]
+        )
+    return lambda z: _form_values(basis, (k,), z)[0]
 
 
 def reg_line_integral(
@@ -199,7 +189,7 @@ def reg_line_integral(
             # the bisection's products add the pieces' integrals
             def solve(a: float, b: float, seg=seg) -> NcSeries:
                 piece = seg.restrict(a, b)
-                vals = [integrand(piece.point(t)) * piece.velocity(t) for t in _NODES]
+                vals = integrand(piece.point(_NODES)) * piece.velocity(_NODES)
                 return NcSeries({EMPTY_WORD: 1.0 + 0j, letter: complex(_END_ROW @ vals)}, 1)
 
             series, piece_err = _adaptive_segment(solve, 0.0, 1.0, seg_tol, 0)

@@ -10,6 +10,9 @@ dlog theta(z - P_k1) - dlog theta(z - P_k2) with residue +1 at P_k1 and -1 at
 P_k2, built from the odd Jacobi theta function
 
     theta11(z) = sum_n exp(pi*i*(n+1/2)^2*tau + 2*pi*i*(n+1/2)*(z+1/2)).
+
+Every genus-1 value reads from one array evaluator: ``_reduce``, exact
+``lattice_distance``, ``_theta_derivatives`` (the sum) and ``_log_theta``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -78,105 +81,135 @@ class ThetaParams:
         raise ConfigError(f"Im(tau) = {y} too small for reliable theta series")
 
 
-def _lattice_reduce(z: complex, tau: complex) -> tuple[complex, int, int]:
-    """z = z0 + m + k*tau with z0 in (a neighbourhood of) the fundamental cell."""
-    k = round(z.imag / tau.imag)
+_THETA_GUARD = 1e-13
+_THETA_CACHE_SIZE = 64
+
+
+def _like(z, values: np.ndarray):
+    """``values`` in the shape of ``z``, or a Python number for a scalar z."""
+    if np.ndim(z) == 0:
+        return values.item()
+    return values.reshape(np.shape(z))
+
+
+@lru_cache(maxsize=_THETA_CACHE_SIZE)
+def _lattice_basis(tau: complex) -> tuple[complex, np.ndarray]:
+    """(a, [-t, 0, t]) with Z + tau*Z = a*(Z + t*Z), |Re t| <= 1/2 and |t| >= 1
+    (Lagrange's reduction), so Im t >= sqrt(3)/2 at every tau.  The 1e-9
+    margin keeps rounding from flipping a tie |Re t| = 1/2 back and forth."""
+    if not (cmath.isfinite(tau) and tau.imag > 0):
+        raise ConfigError(f"lattice Z + tau*Z needs a finite tau with Im(tau) > 0, got {tau}")
+    a, b = 1 + 0j, tau
+    while abs(b) < abs(a) or abs((b / a).real) > 0.5 + 1e-9:
+        a, b = (b, a) if abs(b) < abs(a) else (a, b - round((b / a).real) * a)
+    t = b / a if (b / a).imag > 0 else -b / a
+    return a, np.array([-t, 0.0, t])
+
+
+def _reduce(z: np.ndarray, tau: complex):
+    """z = z0 + m + k*tau elementwise, with z0 in the fundamental cell around 0."""
+    k = np.rint(z.imag / tau.imag)
     rest = z - k * tau
-    m = round(rest.real)
+    m = np.rint(rest.real)
     return rest - m, m, k
 
 
-def lattice_distance(z: complex, tau: complex) -> float:
-    """Distance from z to the lattice Z + tau*Z."""
-    z0, _, _ = _lattice_reduce(z, tau)
-    best = abs(z0)
-    for a in (-1, 0, 1):
-        for b in (-1, 0, 1):
-            d = abs(z0 + a + b * tau)
-            if d < best:
-                best = d
-    return best
+def lattice_distance(z, tau: complex):
+    """Exact distance from z (a number or an array) to the lattice Z + tau*Z.
+
+    In the reduced basis a*(1, t), with the argument moved into the strip
+    |Im| <= Im(t)/2, the nearest lattice point lies in row -1, 0 or 1, at
+    the nearest integer of that row.
+    """
+    a, rows = _lattice_basis(complex(tau))
+    w = np.asarray(z, dtype=complex) / a
+    w = w - np.rint(w.imag / rows[2].imag) * rows[2]
+    near = w[..., None] - rows
+    return _like(z, abs(a) * np.abs(near - np.rint(near.real)).min(axis=-1))
 
 
-def _theta_series(z0: complex, p: ThetaParams) -> tuple[complex, complex, complex]:
-    """(theta, theta', theta'') at a reduced argument."""
-    th = thp = thpp = 0j
-    tau = p.tau
-    for n in range(-p.truncation, p.truncation):
-        half = n + 0.5
-        t = cmath.exp(1j * math.pi * tau * half * half + TWO_PI_I * half * (z0 + 0.5))
-        d = TWO_PI_I * half
-        th += t
-        thp += d * t
-        thpp += d * d * t
-    return th, thp, thpp
+def _theta_derivatives(z0: np.ndarray, p: ThetaParams, order: int) -> np.ndarray:
+    """Rows 0..order: theta11 and its derivatives at the reduced 1-d z0, from
+    one exponential over the (points x terms) grid.  Each point sums its own
+    terms, so no value depends on the others (a BLAS product's would)."""
+    half = np.arange(-p.truncation, p.truncation) + 0.5
+    step = TWO_PI_I * half
+    rows = [np.exp(1j * math.pi * p.tau * half * half + (z0[:, None] + 0.5) * step)]
+    for _ in range(order):
+        rows.append(rows[-1] * step)
+    return np.array([row.sum(axis=-1) for row in rows])
 
 
-def _reduced(z: complex, p: ThetaParams, guard: float = 1e-13) -> tuple[complex, int, int]:
-    z0, m, k = _lattice_reduce(complex(z), p.tau)
-    if lattice_distance(complex(z), p.tau) < guard:
-        raise PoleProximityError(
-            f"argument {z} is within {guard} of a lattice point of theta11"
-        )
-    return z0, m, k
+def _check_poles(dist: np.ndarray, limits: np.ndarray, w: np.ndarray, names) -> None:
+    """The one pole guard: raise PoleProximityError where the entry of row r
+    of ``w`` lies within ``limits[r]`` of the pole ``names[r]``."""
+    near = dist < limits[:, None]
+    if near.any():
+        r, c = np.argwhere(near)[0]
+        raise PoleProximityError(f"within {limits[r]:.3g} of {names[r]} (offset {w[r, c]})")
 
 
-def theta11(z: complex, p: ThetaParams) -> complex:
+def _log_theta(w: np.ndarray, p: ThetaParams, order: int = 1, guard=_THETA_GUARD, names=None):
+    """Log-derivatives 1..order (order 1 or 2) of theta11 at every entry of
+    the 2-d ``w``, one array each, behind the pole guard: ``guard`` is a
+    number or one per row, ``names`` names each row's pole."""
+    limits = np.full(len(w), guard) if np.ndim(guard) == 0 else guard
+    _check_poles(lattice_distance(w, p.tau), limits, w, names or ["a lattice point"] * len(w))
+    z0, _, k = _reduce(w, p.tau)
+    th = _theta_derivatives(z0.ravel(), p, order).reshape((order + 1,) + w.shape)
+    ratio = th[1] / th[0]
+    if order == 1:
+        return (ratio - TWO_PI_I * k,)
+    return ratio - TWO_PI_I * k, th[2] / th[0] - ratio * ratio
+
+
+def theta11(z, p: ThetaParams):
     """Odd Jacobi theta function with characteristic (1/2, 1/2)."""
-    z0, m, k = _lattice_reduce(complex(z), p.tau)
-    th, _, _ = _theta_series(z0, p)
-    sign = -1.0 if (m + k) % 2 else 1.0
-    factor = sign * cmath.exp(-1j * math.pi * p.tau * k * k - TWO_PI_I * k * z0)
-    return factor * th
+    z0, m, k = _reduce(np.ravel(np.asarray(z, dtype=complex)), p.tau)
+    th = _theta_derivatives(z0, p, 0)[0]
+    sign = np.where((m + k) % 2, -1.0, 1.0)
+    return _like(z, sign * np.exp(-1j * math.pi * p.tau * k * k - TWO_PI_I * k * z0) * th)
 
-def dlog_theta(z: complex, p: ThetaParams) -> complex:
+
+def dlog_theta(z, p: ThetaParams):
     """theta11'/theta11.  Simple pole of residue 1 at every lattice point;
     periodic under z+1, drops 2*pi*i under z+tau."""
-    z0, _, k = _reduced(z, p)
-    th, thp, _ = _theta_series(z0, p)
-    return thp / th - TWO_PI_I * k
+    return _like(z, _log_theta(np.asarray(z, dtype=complex).reshape(1, -1), p)[0][0])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_THETA_CACHE_SIZE)
 def _theta_odd_coeffs(p: ThetaParams) -> tuple[complex, complex, complex]:
     """(c3, c5, c7) in theta11(z) = theta11'(0) * (z + c3 z^3 + c5 z^5 + c7 z^7 + ...)."""
-    d1 = d3 = d5 = d7 = 0j
-    for n in range(-p.truncation, p.truncation):
-        half = n + 0.5
-        t = cmath.exp(1j * math.pi * p.tau * half * half + 1j * math.pi * half)
-        d2 = -4.0 * math.pi * math.pi * half * half
-        d1 += TWO_PI_I * half * t
-        d3 += TWO_PI_I * half * d2 * t
-        d5 += TWO_PI_I * half * d2 * d2 * t
-        d7 += TWO_PI_I * half * d2 * d2 * d2 * t
-    return d3 / (6.0 * d1), d5 / (120.0 * d1), d7 / (5040.0 * d1)
+    d = _theta_derivatives(np.zeros(1), p, 7)[:, 0].tolist()
+    return d[3] / (6.0 * d[1]), d[5] / (120.0 * d[1]), d[7] / (5040.0 * d[1])
 
 
 _SUB_SERIES_RADIUS = 0.01
 
 
-def dlog_theta_sub(z: complex, p: ThetaParams) -> complex:
+def dlog_theta_sub(z, p: ThetaParams):
     """dlog_theta(z) - 1/z.  Near the origin the two terms cancel to O(z) and
     the direct difference loses precision; a short odd series is used there."""
-    z = complex(z)
-    z0, m, k = _lattice_reduce(z, p.tau)
-    if m == 0 and k == 0 and abs(z0) < _SUB_SERIES_RADIUS:
-        c3, c5, c7 = _theta_odd_coeffs(p)
-        z2 = z0 * z0
-        return z0 * (
-            2.0 * c3
-            + z2 * (4.0 * c5 - 2.0 * c3 * c3)
-            + z2 * z2 * (6.0 * c7 - 6.0 * c3 * c5 + 2.0 * c3 ** 3)
-        )
-    return dlog_theta(z, p) - 1.0 / z
+    zs = np.ravel(np.asarray(z, dtype=complex))
+    z0, m, k = _reduce(zs, p.tau)
+    near = (m == 0) & (k == 0) & (np.abs(z0) < _SUB_SERIES_RADIUS)
+    out = np.empty(zs.shape, dtype=complex)
+    c3, c5, c7 = _theta_odd_coeffs(p)
+    x = z0[near]
+    x2 = x * x
+    out[near] = x * (
+        2.0 * c3
+        + x2 * (4.0 * c5 - 2.0 * c3 * c3)
+        + x2 * x2 * (6.0 * c7 - 6.0 * c3 * c5 + 2.0 * c3 ** 3)
+    )
+    far = zs[~near]
+    out[~near] = _log_theta(far.reshape(1, -1), p)[0][0] - 1.0 / far
+    return _like(z, out)
 
 
-def d2log_theta(z: complex, p: ThetaParams) -> complex:
+def d2log_theta(z, p: ThetaParams):
     """Second log-derivative of theta11; doubly periodic."""
-    z0, _, _ = _reduced(z, p)
-    th, thp, thpp = _theta_series(z0, p)
-    r = thp / th
-    return thpp / th - r * r
+    return _like(z, _log_theta(np.asarray(z, dtype=complex).reshape(1, -1), p, 2)[1][0])
 
 
 def theta_c(p: ThetaParams) -> complex:
@@ -415,33 +448,44 @@ class FormBasis:
         return None
 
 
+def _form_values(
+    basis: FormBasis,
+    labels: Sequence[FormLabel],
+    z: np.ndarray,
+    guard: float | None = None,
+    exempt: int | None = None,
+) -> np.ndarray:
+    """f_k at the points z (1-d), one row per label k.  Each puncture's pole
+    term, 1/(z - P) or dlog theta11(z - P), is computed once for all points.
+    A point within ``guard`` (default pole_guard) of a pole of these forms
+    raises PoleProximityError; at ``exempt`` only the 1e-13 floor applies."""
+    s = basis.surface
+    forms = [basis.forms[k] for k in labels]
+    poles = sorted({i for f in forms for i in f.pole_indices()})
+    g = max(s.pole_guard if guard is None else guard, _THETA_GUARD)
+    limits = np.array([_THETA_GUARD if i == exempt else g for i in poles])
+    names = [f"puncture {i}" for i in poles]
+    w = z - np.array([s.punctures[i] for i in poles], dtype=complex)[:, None]
+    if s.genus == 1:
+        terms = dict(zip(poles, _log_theta(w, basis.theta, 1, limits, names)[0]))
+    else:
+        _check_poles(np.abs(w), limits, w, names)
+        terms = dict(zip(poles, 1.0 / w))
+    ones = np.ones(z.shape, dtype=complex)
+    rows = [
+        ones if f.kind == "dz" else sum(f.residue_at(i) * terms[i] for i in f.pole_indices())
+        for f in forms
+    ]
+    return np.array(rows, dtype=complex).reshape((len(rows),) + z.shape)
+
+
 def eval_form(
     basis: FormBasis, k: FormLabel, z: complex, guard: float | None = None
 ) -> complex:
     """Coefficient function f_k with w_k = f_k(z) dz."""
     if not 0 <= k < basis.n_forms:
         raise ConfigError(f"form label {k} out of range")
-    z = complex(z)
-    s = basis.surface
-    g = s.pole_guard if guard is None else guard
-    f = basis.forms[k]
-    if f.kind == "dz":
-        return 1.0 + 0j
-    if f.kind == "genus0_log":
-        d = z - s.punctures[f.pole]
-        if abs(d) < g:
-            raise PoleProximityError(
-                f"evaluation {z} within {g} of puncture {f.pole}"
-            )
-        return 1.0 / d
-    for idx in (f.k1, f.k2):
-        if lattice_distance(z - s.punctures[idx], s.tau) < g:
-            raise PoleProximityError(
-                f"evaluation {z} within {g} of puncture {idx} (mod lattice)"
-            )
-    return dlog_theta(z - s.punctures[f.k1], basis.theta) - dlog_theta(
-        z - s.punctures[f.k2], basis.theta
-    )
+    return _form_values(basis, (k,), np.array([complex(z)]), guard)[0, 0].item()
 
 
 @dataclass(frozen=True)
@@ -452,24 +496,19 @@ class StructureConstants:
     b: FormLabel
     coefficients: dict[FormLabel, complex] = field(default_factory=dict)
 
-    def residual(self, basis: FormBasis, z: complex) -> complex:
-        lhs = eval_form(basis, self.a, z) * eval_form(basis, self.b, z)
-        rhs = sum(c * eval_form(basis, k, z) for k, c in self.coefficients.items())
-        return lhs - rhs
+    def residual(self, basis: FormBasis, z):
+        """f_a f_b - sum_i C^(i) f_i at z, a number or an array of points."""
+        labels = [self.a, self.b, *self.coefficients]
+        vals = _form_values(basis, labels, np.ravel(np.asarray(z, dtype=complex)))
+        rhs = sum(c * vals[2 + n] for n, c in enumerate(self.coefficients.values()))
+        return _like(z, vals[0] * vals[1] - rhs)
 
 
-def _fay_terms(p: ThetaParams):
-    """F = dlog theta11 and G(x) = (F(x)^2 + F'(x))/2 at modulus p, the two
-    functions the theta product identities are written in."""
-
-    def F(x: complex) -> complex:
-        return dlog_theta(x, p)
-
-    def G(x: complex) -> complex:
-        v = dlog_theta(x, p)
-        return 0.5 * (v * v + d2log_theta(x, p))
-
-    return F, G
+def _fay_terms(args: np.ndarray, p: ThetaParams) -> tuple[np.ndarray, np.ndarray]:
+    """F = dlog theta11 and G = (F^2 + F')/2 at every entry of the 2-d
+    ``args``, the two functions the theta product identities are written in."""
+    f, fp = _log_theta(args, p, 2)
+    return f, 0.5 * (f * f + fp)
 
 
 def structure_constants(basis: FormBasis, a: FormLabel, b: FormLabel) -> StructureConstants:
@@ -512,31 +551,32 @@ def structure_constants(basis: FormBasis, a: FormLabel, b: FormLabel) -> Structu
     pts = s.punctures
     a1, a2 = pts[fa.k1], pts[fa.k2]
     b1, b2 = pts[fb.k1], pts[fb.k2]
-    F, G = _fay_terms(basis.theta)
-    c0 = G(a1 - b1) - G(a1 - b2) - G(a2 - b1) + G(a2 - b2)
-    ca = F(a1 - b1) - F(a1 - b2)
-    cb = F(b1 - a1) - F(b1 - a2)
-    ci = F(a1 - b1) - F(a1 - b2) - F(a2 - b1) + F(a2 - b2)
+    args = np.array([[a1 - b1, a1 - b2, a2 - b1, a2 - b2, b1 - a1, b1 - a2]])
+    f, g = (row[0].tolist() for row in _fay_terms(args, basis.theta))
+    c0 = g[0] - g[1] - g[2] + g[3]
+    ca = f[0] - f[1]
+    cb = f[4] - f[5]
+    ci = f[0] - f[1] - f[2] + f[3]
 
     coeffs: dict[FormLabel, complex] = {0: c0, a: ca, b: cb}
     coeffs[i_ab] = coeffs.get(i_ab, 0j) + sign * ci
     return StructureConstants(a, b, coeffs)
 
 
-def fay_residual(z: complex, p_i: complex, p_j: complex, p: ThetaParams) -> complex:
+def fay_residual(z, p_i, p_j, p: ThetaParams):
     """Defect of the two-point theta product identity; zero when it holds.
+    The three points may be numbers or arrays that broadcast together.
 
     With F = dlog theta11 and G(x) = (F(x)^2 + F'(x))/2:
       F(z-P_i)F(z-P_j) = F(z-P_i)F(P_i-P_j) + F(z-P_j)F(P_j-P_i)
                        + G(z-P_j) + G(z-P_i) + G(P_i-P_j) - theta_c/2.
     """
-    zi = z - p_i
-    zj = z - p_j
-    d = p_i - p_j
-    F, G = _fay_terms(p)
-    lhs = F(zi) * F(zj)
-    rhs = F(zi) * F(d) + F(zj) * F(-d) + G(zj) + G(zi) + G(d) - 0.5 * theta_c(p)
-    return lhs - rhs
+    z, p_i, p_j = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (z, p_i, p_j)))
+    d = (p_i - p_j).ravel()
+    f, g = _fay_terms(np.array([(z - p_i).ravel(), (z - p_j).ravel(), d, -d]), p)
+    lhs = f[0] * f[1]
+    rhs = f[0] * f[2] + f[1] * f[3] + g[1] + g[0] + g[2] - 0.5 * theta_c(p)
+    return _like(z, lhs - rhs)
 
 
 def form_to_json(f: FormSpec) -> dict:

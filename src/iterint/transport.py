@@ -31,6 +31,8 @@ integration matrix, nested over word length, and bisected adaptively until
 direct and composed evaluations agree to tolerance; a child piece reuses
 its parent's solve of it as its own direct evaluation.  The same bisection
 serves the regularized line integral, whose pieces are depth-one series.
+The forms at all nodes of a piece come from one call of the array
+evaluator in ``surfaces`` (``_form_values``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigError, PoleProximityError, ToleranceError
 from .paths import Path, Segment, segment_min_distance
-from .surfaces import FormBasis, eval_form
+from .surfaces import FormBasis, _form_values
 from .words import EMPTY_WORD, GeneralizedWord, Word
 
 _N_NODES = 16
@@ -296,31 +298,6 @@ def compose_series(after: NcSeries, before: NcSeries) -> NcSeries:
     return after.product(before)
 
 
-def _node_values(
-    basis: FormBasis,
-    seg: Segment,
-    labels: Sequence[int],
-    exempt: int | None,
-) -> dict[int, np.ndarray]:
-    surface = basis.surface
-    points = [seg.point(t) for t in _NODES]
-    velocities = [seg.velocity(t) for t in _NODES]
-    for z in points:
-        for p in range(surface.n_punctures):
-            if p == exempt:
-                continue
-            if surface.distance_to_puncture(z, p) < surface.pole_guard:
-                raise PoleProximityError(
-                    f"quadrature node {z} within {surface.pole_guard} of puncture {p}"
-                )
-    out: dict[int, np.ndarray] = {}
-    for k in labels:
-        out[k] = np.array(
-            [eval_form(basis, k, z, guard=0.0) * v for z, v in zip(points, velocities)]
-        )
-    return out
-
-
 def _solve_segment(
     basis: FormBasis,
     seg: Segment,
@@ -329,7 +306,9 @@ def _solve_segment(
 ) -> NcSeries:
     """One Gauss-Legendre sweep: nested quadrature over word length."""
     labels = sorted({w[0] for w in words if not w.is_empty})
-    g = _node_values(basis, seg, labels, exempt)
+    # the pulled-back forms f_k(seg(t)) seg'(t) at all nodes, in one evaluation
+    values = _form_values(basis, labels, seg.point(_NODES), exempt=exempt)
+    g = dict(zip(labels, values * seg.velocity(_NODES)))
     ones = np.ones(_N_NODES, dtype=complex)
     nodewise: dict[tuple, np.ndarray] = {(): ones}
     coeffs: dict[Word, complex] = {EMPTY_WORD: 1.0 + 0j}

@@ -229,7 +229,7 @@ def random_torus_basis(rng: random.Random, tau: complex) -> FormBasis:
         while len(pts) < 4 and tries < 200:
             tries += 1
             cand = rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0) * tau
-            if all(lattice_distance(cand - p, tau) > 0.3 for p in pts):
+            if lattice_distance([cand - p for p in pts], tau).min() > 0.3:
                 pts.append(cand)
         if len(pts) == 4:
             break

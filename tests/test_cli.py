@@ -193,6 +193,34 @@ class TestCheck:
         assert time.perf_counter() - start < 10.0
         assert "draws at tau" in capsys.readouterr().err
 
+    def test_tiny_im_tau_exits_2(self, tmp_path, capsys):
+        # the theta series rejects the modulus; the lattice reduction before
+        # it stays cheap at any Im(tau)
+        start = time.perf_counter()
+        assert main(["check", "fay", "--tau", "1e-12i"]) == 2
+        assert "too small" in capsys.readouterr().err
+        basis = {"genus": 1, "punctures": [[0, 0], [0.5, 0]], "tau": [0, 1e-12]}
+        segment = {"type": "line", "start": [0.1, 0.1], "end": [0.2, 0.1]}
+        job = {"basis": basis, "path": {"segments": [segment]}, "words": [[0]]}
+        assert main(["polylog", "--config", write_config(tmp_path, "job.json", job)]) == 2
+        assert "too small" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5.0
+
+    def test_fay_no_draw_fits_exits_2(self, capsys):
+        # no two points are 0.15 apart mod this lattice; the draws are bounded
+        assert main(["check", "fay", "--tau", "0.14285714285714285+0.001i"]) == 2
+        assert "draws at tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["fay", "structure"])
+    def test_torus_suites_report_genus_1(self, tmp_path, capsys, suite):
+        out = tmp_path / "rep.json"
+        assert main(["check", suite, "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["genus"] == 1
+        assert main(["check", suite, "--genus", "0"]) == 2
+        assert "torus" in capsys.readouterr().err
+        cfg = write_config(tmp_path, "cfg.json", {"genus": 0})
+        assert main(["check", suite, "--config", cfg]) == 2
+
     def test_bad_tau(self, capsys):
         assert main(["check", "fay", "--tau", "banana"]) == 2
 

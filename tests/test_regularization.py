@@ -110,18 +110,18 @@ class TestRegLineIntegral:
         end = s.punctures[1] + 0.12 - 0.06j
         r = reg_line_integral(line_path(s.punctures[1], end), 1, b)
 
-        mpmath.mp.dps = 30
-        q = mpmath.exp(1j * mpmath.pi * 1j)
-        theta = lambda x: -mpmath.jtheta(1, mpmath.pi * x, q)
-        dlog = lambda x: mpmath.diff(theta, x) / theta(x)
+        with mpmath.workdps(30):
+            q = mpmath.exp(1j * mpmath.pi * 1j)
+            theta = lambda x: -mpmath.jtheta(1, mpmath.pi * x, q)
+            dlog = lambda x: mpmath.diff(theta, x) / theta(x)
 
-        def integrand(t):
-            z = s.punctures[1] + t * (end - s.punctures[1])
-            zeta = z - s.punctures[1]
-            sub = dlog(zeta) - 1 / zeta if abs(zeta) > 0 else 0
-            return (sub - dlog(z - s.punctures[0])) * (end - s.punctures[1])
+            def integrand(t):
+                z = s.punctures[1] + t * (end - s.punctures[1])
+                zeta = z - s.punctures[1]
+                sub = dlog(zeta) - 1 / zeta if abs(zeta) > 0 else 0
+                return (sub - dlog(z - s.punctures[0])) * (end - s.punctures[1])
 
-        want = mpmath.quad(integrand, [0, 1]) + mpmath.log(abs(end - s.punctures[1]))
+            want = mpmath.quad(integrand, [0, 1]) + mpmath.log(abs(end - s.punctures[1]))
         assert abs(r.value - complex(want)) < 1e-11
 
     def test_small_im_tau_does_not_stall(self):

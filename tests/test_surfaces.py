@@ -22,8 +22,10 @@ from iterint.surfaces import (
     basis_to_json,
     complex_from_json,
     complex_to_json,
+    _form_values,
     d2log_theta,
     dlog_theta,
+    dlog_theta_sub,
     eval_form,
     fay_residual,
     form_from_json,
@@ -40,6 +42,16 @@ def mp_theta(z, tau):
     """Independent reference: theta11(z) = -jtheta1(pi z, q), q = exp(pi i tau)."""
     q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
     return -complex(mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), q))
+
+
+def mp_log_derivatives(z, tau):
+    """(dlog theta11, d2log theta11) at z from mpmath's jtheta derivatives."""
+    with mpmath.workdps(30):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        u = mpmath.pi * mpmath.mpc(z)
+        t0, t1, t2 = (mpmath.jtheta(1, u, q, r) for r in range(3))
+        r1 = t1 / t0
+        return complex(mpmath.pi * r1), complex(mpmath.pi ** 2 * (t2 / t0 - r1 * r1))
 
 
 class TestTheta:
@@ -99,6 +111,39 @@ class TestTheta:
                     probe = eps * dlog_theta(base + eps, p)
                     assert abs(probe - 1) < tol
 
+    @pytest.mark.parametrize(
+        "tau", (1j, 0.5 + 1j, 3 + 0.5j, -3 + 1.5j, 2.2 + 0.7j, -1.4 + 1.1j, 0.8 + 0.5j)
+    )
+    def test_log_derivatives_match_mpmath(self, tau):
+        # |Re tau| up to 3 and Im tau in [0.5, 1.5], at points several cells out
+        rng = np.random.default_rng(11)
+        p = ThetaParams(tau)
+        for _ in range(12):
+            z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
+            if lattice_distance(z, tau) < 0.05:
+                continue
+            want1, want2 = mp_log_derivatives(z, tau)
+            assert abs(dlog_theta(z, p) - want1) < 1e-13 * max(1.0, abs(want1))
+            assert abs(d2log_theta(z, p) - want2) < 1e-12 * max(1.0, abs(want2))
+
+    @pytest.mark.parametrize("tau", (1j, 0.5 + 1j, -2.5 + 0.6j, 0.15j))
+    def test_array_call_matches_points(self, tau):
+        rng = np.random.default_rng(2)
+        p = ThetaParams(tau)
+        z = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
+        z[:2] = (0.004 + 0.003j, -0.002j)  # dlog_theta_sub's series branch
+        for f, modulus in (
+            (theta11, p),
+            (dlog_theta, p),
+            (d2log_theta, p),
+            (dlog_theta_sub, p),
+            (lattice_distance, tau),
+        ):
+            got = f(z, modulus)
+            want = np.array([f(x, modulus) for x in z])
+            assert got.shape == z.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), f.__name__
+
     def test_d2log_is_derivative_of_dlog(self):
         p = ThetaParams(1j)
         z = 0.17 + 0.29j
@@ -157,6 +202,35 @@ class TestSurfaceConfig:
         # 0.75 + 0.5j is nearer to tau than to 0 or 1
         assert abs(lattice_distance(0.75 + 0.5j, tau) - abs(0.75 + 0.5j - tau)) < 1e-15
         assert abs(lattice_distance(7 + 0.1 - 3 * tau, tau) - 0.1) < 1e-12
+
+    @pytest.mark.parametrize(
+        "tau", (1.7 + 1j, 0.5 + 0.3j, -2.2 + 0.6j, 1 / 7 + 0.001j, 0.3 + 0.001j, -2.5 + 0.004j)
+    )
+    def test_lattice_distance_exact(self, tau):
+        # against the nearest point of every lattice row the box reaches, in
+        # extended precision: thousands of rows at small Im(tau)
+        rng = np.random.default_rng(4)
+        z = rng.uniform(-3, 3, 500) + 1j * rng.uniform(-3, 3, 500)
+        re, im = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
+        brute = np.full(z.shape, np.inf, dtype=np.longdouble)
+        reach = int(4 / tau.imag)
+        for n in range(-reach, reach + 1):
+            x = re - n * np.longdouble(tau.real)
+            brute = np.minimum(brute, np.hypot(x - np.rint(x), im - n * np.longdouble(tau.imag)))
+        assert np.all(np.abs(lattice_distance(z, tau) - brute) < 1e-13)
+        # the nearest lattice point is 1, outside a fixed 3x3 neighbourhood of
+        # the reduced point 0.81 - 0.51j - 3 + tau
+        assert abs(lattice_distance(0.81 - 0.51j, 1.7 + 1j) - abs(-0.19 - 0.51j)) < 1e-15
+
+    def test_lattice_distance_tiny_im_tau(self):
+        # Z + 1e-12i Z is dense along the lines Re z in Z; three rows still suffice
+        z = np.array([0.3 + 0.2j, -0.45 + 7j, 2.05 - 1j])
+        assert np.allclose(lattice_distance(z, 1e-12j), [0.3, 0.45, 0.05], atol=1e-12)
+        s = SurfaceConfig(1, (0, 0.5, 0.25 + 0.1j), tau=1e-12j)
+        with pytest.raises(ConfigError, match="too small"):
+            FormBasis.genus1(s)
+        with pytest.raises(ConfigError):
+            lattice_distance(0.1, 0.5)
 
     def test_puncture_distances(self):
         s = SurfaceConfig(1, (0, 0.3 + 0.4j), tau=1j)
@@ -271,6 +345,25 @@ class TestEvalForm:
         b = FormBasis.genus1(s)
         with pytest.raises(PoleProximityError):
             eval_form(b, 1, 2 + 3j + 1e-4)  # near puncture 0 shifted by 2+3tau
+
+    def test_array_values_match_points(self):
+        s = SurfaceConfig(1, (0.0, 0.45, 0.25 + 0.35j), tau=0.3 + 1.1j)
+        b = FormBasis.genus1(s)
+        z = np.linspace(-0.3, 0.9, 16) - 0.2j
+        got = _form_values(b, (0, 1, 2), z)
+        want = np.array([[eval_form(b, k, x) for x in z] for k in (0, 1, 2)])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("translate", (0, -1 + 3 * (0.3 + 1.1j)))
+    def test_node_array_guard_names_puncture(self, translate):
+        s = SurfaceConfig(1, (0.0, 0.45, 0.25 + 0.35j), tau=0.3 + 1.1j)
+        b = FormBasis.genus1(s)
+        z = np.linspace(-0.3, 0.9, 16) - 0.2j
+        z[7] = s.punctures[2] + translate + 1e-7j
+        with pytest.raises(PoleProximityError, match="puncture 2"):
+            _form_values(b, (0, 1, 2), z)
+        # at the exempt puncture only the floor below which nothing is computed applies
+        assert np.all(np.isfinite(_form_values(b, (0, 1, 2), z, exempt=2)))
 
     def test_label_range(self):
         b = FormBasis.genus0(SurfaceConfig(0, (0, 1)))

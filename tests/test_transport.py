@@ -405,6 +405,15 @@ class TestIteratedIntegral:
         r = iterated_integral(line_path(0.2, 0.8), EMPTY_WORD, b)
         assert r.value == 1.0
 
+    def test_depth_zero_on_loops(self, sphere01):
+        # no letter to evaluate: the nodes of the arc yield an empty form table
+        s, b = sphere01
+        loop = loop_around(LoopSpec(0, 1, basepoint=0.4 + 0.1j), s)
+        assert transport_series(loop, b, depth=0).series.coefficient(EMPTY_WORD) == 1.0
+        torus = SurfaceConfig(1, (0, 0.5 + 0.3j), tau=1j)
+        loop = loop_around(LoopSpec(1, 1, basepoint=0.2 + 0.1j), torus)
+        assert iterated_integral(loop, EMPTY_WORD, FormBasis.genus1(torus)).value == 1.0
+
     def test_zero_generalized_word(self, sphere01):
         _, b = sphere01
         r = iterated_integral(line_path(0.2, 0.8), GeneralizedWord.zero(), b)
