@@ -225,6 +225,13 @@ def _default_path(genus: int) -> Path:
     return line_path(-0.25 - 0.25j, 0.85 - 0.2j)
 
 
+def _default_pair(genus: int, depth: int | None) -> tuple[int, int, int]:
+    """Punctures (i, j) of the monodromy and associator suites, and their depth."""
+    if genus == 0:
+        return 1, 0, 3 if depth is None else depth
+    return 2, 1, 2 if depth is None else depth
+
+
 def _suite_shuffle(rng, genus, tau, tol):
     tol = 1e-10 if tol is None else tol
     basis = _default_basis(genus, tau)
@@ -340,12 +347,7 @@ def _suite_variation(rng, genus, tau, tol):
 def _suite_monodromy(genus, tau, depth, tol):
     basis = _default_basis(genus, tau)
     pts = basis.surface.punctures
-    if genus == 0:
-        i, j = 1, 0
-        depth = 3 if depth is None else depth
-    else:
-        i, j = 2, 1
-        depth = 2 if depth is None else depth
+    i, j, depth = _default_pair(genus, depth)
     base = pts[j] + 0.5 * (pts[i] - pts[j])
     loop = LoopSpec(i, 1, basepoint=base)
     ki = good_puncture_ctx(basis, i).form_label
@@ -382,12 +384,7 @@ def _suite_monodromy(genus, tau, depth, tol):
 def _suite_associator(genus, tau, depth, tol):
     tol = 1e-6 if tol is None else tol
     basis = _default_basis(genus, tau)
-    if genus == 0:
-        i, j = 1, 0
-        depth = 3 if depth is None else depth
-    else:
-        i, j = 2, 1
-        depth = 2 if depth is None else depth
+    i, j, depth = _default_pair(genus, depth)
     phi = associator(basis, i, j, depth=depth)
     cases = [{"case": "probe-residual", "residual": phi.probe_residual, "tol": tol}]
 

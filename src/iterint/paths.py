@@ -209,6 +209,11 @@ class LoopSpec:
 
 
 def loop_around(spec: LoopSpec, surface) -> Path:
+    """The loop of ``spec`` on ``surface``.  Its circle must stay inside the
+    clearance: the distance from the puncture to the nearest copy of any
+    other puncture and, on a torus, to its own nearest copy, one shortest
+    lattice vector away.  The default radius is the smaller of 0.4 of the
+    clearance and half the distance to the basepoint."""
     if not 0 <= spec.puncture < surface.n_punctures:
         raise ConfigError(f"puncture index {spec.puncture} out of range")
     center = surface.punctures[spec.puncture]
@@ -219,11 +224,9 @@ def loop_around(spec: LoopSpec, surface) -> Path:
 
     clearance = surface.min_puncture_distance(center, exclude=(spec.puncture,))
     if surface.genus == 1:
-        tau = surface.tau
-        self_copies = min(
-            abs(m + n * tau) for m in (-1, 0, 1) for n in (-1, 0, 1) if (m, n) != (0, 0)
-        )
-        clearance = min(clearance, self_copies)
+        from .surfaces import _lattice_basis  # deferred: surfaces imports this module
+
+        clearance = min(clearance, abs(_lattice_basis(surface.tau)[0]))
 
     if spec.radius is None:
         r = min(0.4 * clearance, 0.5 * abs(off))
@@ -319,26 +322,22 @@ def log_variation(path: Path, pole: complex) -> complex:
     return total
 
 
-def segment_min_distance(seg: Segment, pole: complex) -> float:
-    """Exact distance from a point to the segment."""
-    pole = complex(pole)
+def segment_min_distance(seg: Segment, poles) -> np.ndarray:
+    """Exact distance from the segment to each point of the array ``poles``."""
+    q = np.asarray(poles, dtype=complex)
     if isinstance(seg, LineSegment):
         d = seg.end - seg.start
-        u = ((pole - seg.start) / d).real
-        u = min(max(u, 0.0), 1.0)
-        return abs(seg.start + u * d - pole)
-    off = pole - seg.center
-    rho = abs(off)
-    if rho == 0:
-        return seg.radius
+        v = q - seg.start
+        return np.abs(v - np.minimum(np.maximum((v / d).real, 0.0), 1.0) * d)
+    off = q - seg.center
+    rho = np.abs(off)
     lo, hi = sorted((seg.theta0, seg.theta1))
-    if hi - lo >= 2 * math.pi:
-        return abs(rho - seg.radius)
-    phi = cmath.phase(off)
-    k_min = math.ceil((lo - phi) / (2 * math.pi))
-    if phi + 2 * math.pi * k_min <= hi:
-        return abs(rho - seg.radius)
-    return min(abs(pole - seg.point(0.0)), abs(pole - seg.point(1.0)))
+    phi = np.angle(off)
+    # the circle's point nearest q, on the ray from the centre through q, is on the arc
+    crosses = (rho == 0) | (hi - lo >= 2 * math.pi)
+    crosses |= phi + 2 * math.pi * np.ceil((lo - phi) / (2 * math.pi)) <= hi
+    ends = np.minimum(np.abs(q - seg.point(0.0)), np.abs(q - seg.point(1.0)))
+    return np.where(crosses, np.abs(rho - seg.radius), ends)
 
 
 def segment_to_json(seg: Segment) -> dict:

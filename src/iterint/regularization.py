@@ -78,6 +78,10 @@ _START_TOL = 1e-12
 _LADDER_RATIO = 0.05
 _LADDER_RUNGS = 14
 _GUARD_MARGIN = 3.0
+# highest power of r/r0 in the ladder fit (``_ladder_fit``'s q_max)
+_ANALYTIC_DEGREE = 3
+# largest disagreement between associator probes before a ConventionError
+_CONSISTENCY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -310,15 +314,6 @@ class RegularizedTransport:
         self._error += err
 
     @property
-    def end(self) -> complex:
-        return self._end
-
-    @property
-    def lam(self) -> complex:
-        """Regularized integral of the distinguished form up to the current end."""
-        return self._lam
-
-    @property
     def error(self) -> float:
         return self._error
 
@@ -433,7 +428,6 @@ def asymptotic_expansion(
     w,
     *,
     tol: float = 1e-12,
-    analytic_degree: int = 3,
 ) -> AsymptoticExpansion:
     """Expansion of the regularized integral from P_j as the end approaches P_i.
 
@@ -458,7 +452,7 @@ def asymptotic_expansion(
     direction = (p_j - p_i) / abs(p_j - p_i)
     r0 = _LADDER_RATIO * abs(p_j - p_i)
 
-    n_unknowns = 1 + analytic_degree * (t1 + 1)
+    n_unknowns = 1 + _ANALYTIC_DEGREE * (t1 + 1)
     n_pts = max(_LADDER_RUNGS, n_unknowns + 4)
     radii = _ladder_radii(r0, n_pts, _GUARD_MARGIN * basis.surface.pole_guard)
     points = [p_i + r * direction for r in radii]
@@ -484,10 +478,10 @@ def asymptotic_expansion(
     rs = np.array(radii)
     log_r = np.log(rs)
     c_const, c_err = _ladder_fit(
-        rs, np.array(u_vals, dtype=complex) - log_r, r0, analytic_degree, 1
+        rs, np.array(u_vals, dtype=complex) - log_r, r0, _ANALYTIC_DEGREE, 1
     )
     fitted = {
-        s: _ladder_fit(rs, np.array(vals, dtype=complex), r0, analytic_degree, t1)
+        s: _ladder_fit(rs, np.array(vals, dtype=complex), r0, _ANALYTIC_DEGREE, t1)
         for s, vals in part_vals.items()
     }
 
@@ -552,7 +546,6 @@ def associator(
     depth: int,
     probe_fractions: Sequence[float] = (0.5, 0.3),
     tol: float = 1e-12,
-    consistency_tol: float = 1e-6,
 ) -> AssociatorSeries:
     """Associator between the regularized transports based at P_i and P_j.
 
@@ -580,10 +573,10 @@ def associator(
         results.append(l_i.series().invert().product(l_j.series()))
         errors.append(l_i.error + l_j.error)
     residual = max(results[0].max_abs_diff(r) for r in results[1:])
-    if residual > consistency_tol:
+    if residual > _CONSISTENCY_TOL:
         raise ConventionError(
             f"associator probes disagree by {residual:.3g} "
-            f"(tolerance {consistency_tol:.3g})"
+            f"(tolerance {_CONSISTENCY_TOL:.3g})"
         )
     return AssociatorSeries(i, j, results[0], residual, max(errors) + residual)
 

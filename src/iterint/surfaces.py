@@ -13,6 +13,8 @@ P_k2, built from the odd Jacobi theta function
 
 Every genus-1 value reads from one array evaluator: ``_reduce``, exact
 ``lattice_distance``, ``_theta_derivatives`` (the sum) and ``_log_theta``.
+Every question of which lattice copy of a puncture is near, at a point or
+along a segment, is answered here from the reduced basis ``_lattice_basis``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
     DecompositionUnavailableError,
     PoleProximityError,
 )
+from .paths import Segment, segment_min_distance
 from .words import FormLabel
 
 TWO_PI_I = 2j * math.pi
@@ -47,18 +50,20 @@ def complex_from_json(data) -> complex:
     return complex(float(re), float(im))
 
 
+_TAIL_BOUND = 1e-16
+
+
 @dataclass(frozen=True)
 class ThetaParams:
     """Modulus and series truncation for theta11 evaluation.
 
     ``truncation`` is the index cutoff N (terms n = -N..N-1); when omitted it
-    is chosen so the largest dropped term is below ``tail_bound`` for
+    is chosen so the largest dropped term is below ``_TAIL_BOUND`` for
     arguments reduced to the fundamental cell.
     """
 
     tau: complex
     truncation: int | None = None
-    tail_bound: float = 1e-16
 
     def __post_init__(self) -> None:
         tau = complex(self.tau)
@@ -76,7 +81,7 @@ class ThetaParams:
         y = self.tau.imag
         for n in range(4, 201):
             q = n - 0.5
-            if math.exp(-math.pi * y * (q * q - q)) < self.tail_bound * 1e-2:
+            if math.exp(-math.pi * y * (q * q - q)) < _TAIL_BOUND * 1e-2:
                 return n + 2
         raise ConfigError(f"Im(tau) = {y} too small for reliable theta series")
 
@@ -126,6 +131,34 @@ def lattice_distance(z, tau: complex):
     w = w - np.rint(w.imag / rows[2].imag) * rows[2]
     near = w[..., None] - rows
     return _like(z, abs(a) * np.abs(near - np.rint(near.real)).min(axis=-1))
+
+
+def _segment_distances(surface: "SurfaceConfig", seg: Segment) -> np.ndarray:
+    """Exact distance from the segment (line or arc) to the nearest copy of
+    each puncture, one entry per puncture.
+
+    Every point of the segment lies within half its length, R, of its
+    midpoint c, which is on the segment.  The copy at the nearest point of
+    the nearest row bounds the answer by its distance d from c, at most
+    |a|*hypot(1, Im t)/2, so every copy that can come nearer lies within
+    R + d of c.  A box of rows around c in the reduced basis a*(1, t)
+    covers that disc; each box point is a copy, so the minimum over the box
+    is exact.
+    """
+    poles = np.array(surface.punctures)
+    if surface.genus == 0:
+        return segment_min_distance(seg, poles)
+    c = seg.point(0.5)
+    a, rows = _lattice_basis(surface.tau)
+    t = rows[2]
+    # in units of a: copies m + n*t of a puncture within r of w = (c - P)/a
+    w = (c - poles) / a
+    r = 0.5 * (seg.length / abs(a) + math.hypot(1.0, t.imag))
+    kn, km = int(r / t.imag + 0.5), int(r + 0.5)
+    n = np.rint(w.imag / t.imag)[:, None] + np.arange(-kn, kn + 1)
+    m = np.rint((w[:, None] - n * t).real)[..., None] + np.arange(-km, km + 1)
+    copies = poles[:, None, None] + a * (m + n[..., None] * t)
+    return segment_min_distance(seg, copies).min(axis=(1, 2))
 
 
 def _theta_derivatives(z0: np.ndarray, p: ThetaParams, order: int) -> np.ndarray:
@@ -254,48 +287,22 @@ class SurfaceConfig:
             object.__setattr__(self, "tau", tau)
             if tau.imag <= 0:
                 raise ConfigError("genus 1 requires Im(tau) > 0")
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    if lattice_distance(pts[i] - pts[j], tau) < 1e-12:
-                        raise ConfigError(
-                            f"punctures {i} and {j} coincide modulo the lattice"
-                        )
+            i, j = np.triu_indices(len(pts), 1)
+            close = lattice_distance(np.subtract.outer(pts, pts)[i, j], tau) < 1e-12
+            if close.any():
+                k = close.argmax()
+                raise ConfigError(f"punctures {i[k]} and {j[k]} coincide modulo the lattice")
 
     @property
     def n_punctures(self) -> int:
         return len(self.punctures)
 
-    def distance_to_puncture(self, z: complex, idx: int) -> float:
-        d = z - self.punctures[idx]
-        if self.genus == 1:
-            return lattice_distance(d, self.tau)
-        return abs(d)
-
     def min_puncture_distance(self, z: complex, exclude: Iterable[int] = ()) -> float:
+        """Distance from z to the nearest copy of any puncture not excluded."""
         skip = set(exclude)
-        return min(
-            (
-                self.distance_to_puncture(z, i)
-                for i in range(len(self.punctures))
-                if i not in skip
-            ),
-            default=math.inf,
-        )
-
-    def puncture_copies_near(self, idx: int, points: Iterable[complex]) -> list[complex]:
-        """The puncture itself (genus 0) or its lattice translates adjacent
-        to each sample point (genus 1)."""
-        pole = self.punctures[idx]
-        if self.genus == 0:
-            return [pole]
-        out = {pole}
-        for z in points:
-            k = round((complex(z) - pole).imag / self.tau.imag)
-            for n in (k - 1, k, k + 1):
-                m0 = round((complex(z) - pole - n * self.tau).real)
-                for m in (m0 - 1, m0, m0 + 1):
-                    out.add(pole + m + n * self.tau)
-        return sorted(out, key=lambda w: (w.real, w.imag))
+        d = z - np.array([p for i, p in enumerate(self.punctures) if i not in skip], complex)
+        dist = lattice_distance(d, self.tau) if self.genus == 1 else np.abs(d)
+        return float(dist.min(initial=math.inf))
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, PoleProximityError, ToleranceError
-from .paths import Path, Segment, segment_min_distance
-from .surfaces import FormBasis, _form_values
+from .paths import Path, Segment
+from .surfaces import FormBasis, _form_values, _segment_distances
 from .words import EMPTY_WORD, GeneralizedWord, Word
 
 _N_NODES = 16
@@ -218,10 +218,6 @@ class NcSeries:
         coeffs[EMPTY_WORD] = 1.0 + 0j
         return cls(coeffs, depth)
 
-    @property
-    def support(self) -> set[Word]:
-        return set(self.coeffs)
-
     def coefficient(self, w) -> complex:
         if isinstance(w, GeneralizedWord):
             return sum(c * self.coefficient(v) for v, c in w.items())
@@ -391,18 +387,12 @@ def segment_transport(
 
 def _check_clearance(basis: FormBasis, seg: Segment, exempt: int | None) -> None:
     """Geometric pre-flight: reject a segment that passes within the pole
-    guard of any puncture.  Node distances alone can miss an exact hit when
-    symmetric quadrature errors cancel."""
+    guard of any copy of a puncture, by the exact segment distances of
+    ``surfaces._segment_distances``.  Node distances alone can miss an exact
+    hit when symmetric quadrature errors cancel."""
     surface = basis.surface
-    samples = [seg.point(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    for p in range(surface.n_punctures):
-        if p == exempt:
-            continue
-        gap = min(
-            segment_min_distance(seg, copy)
-            for copy in surface.puncture_copies_near(p, samples)
-        )
-        if gap < surface.pole_guard:
+    for p, gap in enumerate(_segment_distances(surface, seg)):
+        if p != exempt and gap < surface.pole_guard:
             raise PoleProximityError(
                 f"segment passes within {gap:.3g} of puncture {p} (guard {surface.pole_guard})"
             )

@@ -21,11 +21,12 @@ from .errors import (
     ToleranceError,
     VariationUnsupportedError,
 )
-from .paths import LineSegment, line_path, segment_min_distance
+from .paths import LineSegment, line_path
 from .surfaces import (
     FormBasis,
     FormSpec,
     SurfaceConfig,
+    _segment_distances,
     lattice_distance,
     structure_constants,
 )
@@ -193,15 +194,6 @@ def fd_variation(
     return (vals[0] - vals[1]) / (2.0 * h)
 
 
-def _segment_clear(surface: SurfaceConfig, seg: LineSegment, margin: float) -> bool:
-    ends = [seg.point(0.0), seg.point(1.0)]
-    for idx in range(surface.n_punctures):
-        for pole in surface.puncture_copies_near(idx, ends):
-            if segment_min_distance(seg, pole) < margin:
-                return False
-    return True
-
-
 def random_sphere_request(rng: random.Random) -> VariationRequest:
     """Four punctures in general position above the real axis, a straight
     path below it, and a random three-letter word moved at its middle."""
@@ -248,15 +240,15 @@ def random_torus_basis(rng: random.Random, tau: complex) -> FormBasis:
 
 def random_torus_request(rng: random.Random, tau: complex = 1j) -> VariationRequest:
     """A random torus basis (``random_torus_basis``) and a straight path
-    clearing every pole translate by at least 0.2; a basis with no such path
-    in 40 tries is redrawn, up to ``_MAX_DRAWS`` times."""
+    clearing every lattice copy of every puncture by at least 0.2 (exact
+    segment distances from ``surfaces``); a basis with no such path in 40
+    tries is redrawn, up to ``_MAX_DRAWS`` times."""
     for _ in range(_MAX_DRAWS):
         basis = random_torus_basis(rng, tau)
         for _ in range(40):
             base = complex(rng.uniform(-0.3, 0.0), rng.uniform(-0.45, -0.1))
             z = complex(rng.uniform(0.6, 1.0), rng.uniform(-0.45, -0.1))
-            seg = LineSegment(base, z)
-            if _segment_clear(basis.surface, seg, 0.2):
+            if _segment_distances(basis.surface, LineSegment(base, z)).min() >= 0.2:
                 return VariationRequest(basis, Word((0, 1, 2)), 2, z, base)
     raise ConfigError(
         f"no path clearing every pole translate by 0.2 found in {_MAX_DRAWS} "

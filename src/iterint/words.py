@@ -48,9 +48,6 @@ class Word:
     def is_empty(self) -> bool:
         return not self.letters
 
-    def concat(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
     def reversed(self) -> "Word":
         return Word(self.letters[::-1])
 

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package or its tests imports a name it
-never uses.  Standard library only: the check walks each file's syntax tree."""
+never uses, and no private module-level name of the package is left without
+a use.  Standard library only: the checks walk each file's syntax tree."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "iterint").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "iterint").glob("*.py"))
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -40,6 +42,44 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def _defined_names(stmt: ast.stmt) -> set[str]:
+    """Names a module-level function, class or assignment defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _referenced_names(stmt: ast.stmt) -> set[str]:
+    """Names a statement reads: plain names, attributes and quoted annotations."""
+    out: set[str] = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is not None:
+                out |= _annotation_names(annotation)
+    return out
+
+
+def unreferenced_private(sources: list[str]) -> list[str]:
+    """Module-level functions, classes and constants named with a leading
+    underscore (dunders aside) that no other statement of any of the
+    ``sources`` reads; a use inside its own definition does not count."""
+    defined: set[str] = set()
+    used: set[str] = set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            names = {n for n in _defined_names(stmt) if n[:1] == "_" and n[:2] != "__"}
+            defined |= names
+            used |= _referenced_names(stmt) - names
+    return sorted(defined - used)
+
+
 def test_checker_finds_unused_names():
     source = (
         "import os\nimport os.path as osp\nfrom a import b, c\n"
@@ -51,3 +91,15 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_unreferenced_private_names():
+    sources = [
+        "_A = 1\n_B = 2\n__all__ = []\ndef _f(n):\n    return _f(n - 1)\nclass _C:\n    pass\n",
+        "def g(x: '_C'):\n    return m._B\n",
+    ]
+    assert unreferenced_private(sources) == ["_A", "_f"]
+
+
+def test_private_names_are_referenced():
+    assert unreferenced_private([p.read_text(encoding="utf-8") for p in PACKAGE]) == []

@@ -173,6 +173,13 @@ class TestLoops:
         arc = loop.segments[1]
         assert isinstance(arc, ArcSegment)
         assert arc.radius < min(abs(0.3 + 0.8j), 1.0)
+        # the shortest period of Z + (2.5+0.3i)Z is tau - 2, of length 0.583,
+        # outside a 3x3 neighbourhood of 0 in the basis (1, tau)
+        s = SurfaceConfig(1, (0,), tau=2.5 + 0.3j)
+        with pytest.raises(ConfigError, match="clearance 0.583"):
+            loop_around(LoopSpec(0, 1, basepoint=0.95, radius=0.9), s)
+        loop = loop_around(LoopSpec(0, 1, basepoint=0.95), s)
+        assert loop.segments[1].radius < abs(0.5 + 0.3j)
 
 
 class TestLogVariation:

@@ -13,6 +13,7 @@ from iterint.errors import (
     DecompositionUnavailableError,
     PoleProximityError,
 )
+from iterint.paths import ArcSegment, LineSegment
 from iterint.surfaces import (
     FormBasis,
     FormSpec,
@@ -23,6 +24,7 @@ from iterint.surfaces import (
     complex_from_json,
     complex_to_json,
     _form_values,
+    _segment_distances,
     d2log_theta,
     dlog_theta,
     dlog_theta_sub,
@@ -232,10 +234,32 @@ class TestSurfaceConfig:
         with pytest.raises(ConfigError):
             lattice_distance(0.1, 0.5)
 
+    @pytest.mark.parametrize(
+        "tau", (0.3 + 0.04j, 0.37 + 0.001j, 1.7 + 1j, 2.5 + 0.3j, -0.45 + 0.6j)
+    )
+    def test_segment_distances_match_sweep(self, tau):
+        # against the minimum of lattice_distance over 20 001 points of each
+        # segment: the distance is 1-Lipschitz along the segment, so the exact
+        # value lies within half a point spacing below the sweep
+        rng = np.random.default_rng(8)
+        s = SurfaceConfig(1, (0, 0.5 + 0.5 * tau, 0.21 + 0.6 * tau), tau=tau)
+        ends = rng.uniform(-1, 1.5, (5, 2)) + 1j * rng.uniform(-1, 1.5, (5, 2))
+        segs = [LineSegment(*e) for e in ends]
+        for _ in range(5):
+            centre = complex(*rng.uniform(-0.5, 1, 2))
+            segs.append(ArcSegment(centre, rng.uniform(0.05, 0.8), *rng.uniform(-7, 7, 2)))
+        for seg in segs:
+            pts = seg.point(np.linspace(0.0, 1.0, 20001))
+            sweep = np.array([lattice_distance(pts - p, tau).min() for p in s.punctures])
+            exact = _segment_distances(s, seg)
+            assert np.all(exact <= sweep + 1e-12)
+            assert np.all(exact >= sweep - 0.5 * seg.length / 20000 - 1e-12)
+
     def test_puncture_distances(self):
         s = SurfaceConfig(1, (0, 0.3 + 0.4j), tau=1j)
         z = 1.05 + 1j  # one cell over from 0
-        assert abs(s.distance_to_puncture(z, 0) - 0.05) < 1e-12
+        assert abs(s.min_puncture_distance(z, exclude=(1,)) - 0.05) < 1e-12
+        assert abs(s.min_puncture_distance(z) - 0.05) < 1e-12
         # nearest copy of 0.3+0.4j is the one at 1.3+1.4j
         want = abs(z - (1.3 + 1.4j))
         assert abs(s.min_puncture_distance(z, exclude=(0,)) - want) < 1e-12

@@ -370,6 +370,15 @@ class TestGuardsAndValidation:
         # passes through 1.3+1.2j, a lattice copy of puncture 1
         with pytest.raises(PoleProximityError):
             transport_series(line_path(1.0 + 1.2j, 1.6 + 1.2j), b, depth=1)
+        # skewed thin torus: passes through 3*tau - 1 = 0.2+0.24j, a copy of
+        # puncture 0 outside a 3x3 search around the segment's sample points
+        tau = 0.4 + 0.08j
+        b = FormBasis.genus1(SurfaceConfig(1, (0, 0.5 + 0.5 * tau), tau=tau))
+        seg = line_path(
+            0.534298402242217 - 0.4729225249456097j, -0.0005790413453300447 + 0.6677535149673659j
+        )
+        with pytest.raises(PoleProximityError, match="puncture 0"):
+            transport_series(seg, b, depth=1)
 
     def test_tolerance_error(self, sphere01, monkeypatch):
         _, b = sphere01
