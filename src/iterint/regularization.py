@@ -10,7 +10,12 @@ shuffle decomposition, so the state of a regularized transport is the pair
                letter (their innermost integrals converge),
     lam        is the regularized line integral of the distinguished form,
 
-and any requested word assembles as  sum_i lam^i/i! * V[w(i)].
+and any requested word assembles as  sum_i lam^i/i! * V[w(i)].  A request
+is compiled once per distinguished letter into an assembly plan (memoized in
+a bounded cache): the set V is solved on at the start, the factor-closed set
+transported after it, and every requested word's decomposition as flat
+(word, power, column of V, multiplicity) arrays.  Assembly is then one
+gather from V and one fixed-order sum per word.
 
 Limits toward a second puncture are taken on a geometric radius ladder: the
 values carry powers of log r whose coefficients are recovered by weighted
@@ -25,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +63,7 @@ from .transport import (
     NcSeries,
     _END_ROW,
     _NODES,
+    _PLAN_CACHE_SIZE,
     _adaptive_segment,
     all_words,
     factor_closure,
@@ -187,7 +194,7 @@ def reg_line_integral(
     err = 0.0
     if integrand is not None:
         seg_tol = tol / len(path.segments)
-        letter = word(k)
+        letter = all_words((k,), 1)[1]  # the word (k,), built once
         for seg in path.segments:
             # a piece is the depth-one series {(): 1, (k): its integral}, so
             # the bisection's products add the pieces' integrals
@@ -208,20 +215,76 @@ def reg_line_integral(
 # regularized transport
 
 
+class _AssemblyPlan(NamedTuple):
+    """A request compiled for assembly at one distinguished letter.
+
+    ``v_support`` is the tail closure of the decomposition's parts (none of
+    which ends in the letter), the set the start piece is solved on;
+    ``words_full`` the factor closure of the requested words, the parts and
+    the letter itself (``letter``).  Each requested word's decomposition
+    is flattened into terms, grouped by word and ordered by power:
+    ``row`` (position in ``requested``), ``power``, ``column`` (position in
+    ``v_support``) and ``multiplicity``.  ``index`` maps a requested word to
+    its row; ``depth`` is the longest requested length.
+    """
+
+    requested: tuple[Word, ...]
+    index: dict[Word, int]
+    depth: int
+    letter: Word
+    v_support: tuple[Word, ...]
+    words_full: tuple[Word, ...]
+    row: np.ndarray
+    power: np.ndarray
+    column: np.ndarray
+    multiplicity: np.ndarray
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _assembly_plan(requested: tuple[Word, ...], kj: int) -> _AssemblyPlan:
+    letter = word(kj)
+    parts = [_decomposition(w.letters, kj) for w in requested]
+    part_words = {u for d in parts for _, terms in d for u, _ in terms}
+    v_support = tuple(tail_closure(part_words))
+    words_full = tuple(factor_closure(set(requested) | part_words | {letter}))
+    column_of = {u: k for k, u in enumerate(v_support)}
+    row, power, column, multiplicity = [], [], [], []
+    for r, d in enumerate(parts):
+        for i, terms in d:
+            for u, m in terms:
+                row.append(r)
+                power.append(i)
+                column.append(column_of[u])
+                multiplicity.append(m)
+    return _AssemblyPlan(
+        requested,
+        {w: r for r, w in enumerate(requested)},
+        max((len(w) for w in requested), default=0),
+        letter,
+        v_support,
+        words_full,
+        *(np.array(a, dtype=np.intp) for a in (row, power, column)),
+        np.array(multiplicity, dtype=float),
+    )
+
+
 class RegularizedTransport:
     """Iterated integrals along a path whose start sits on a good puncture.
 
-    March segments with :meth:`extend`; read off values of arbitrary words
-    (including those ending in the distinguished letter) with :meth:`value`.
+    March segments with :meth:`extend`.  :meth:`value` and :meth:`series`
+    read the requested words, including those ending in the distinguished
+    letter, and the empty word; any other word raises
+    :class:`MissingLabelError`.  Every requested word is assembled at once,
+    as  sum_i lam^i/i! * V[w(i)]  over its compiled shuffle decomposition,
+    and again after each :meth:`extend`.
     """
 
     def __init__(
         self,
         basis: FormBasis,
         ctx: GoodPunctureCtx,
-        requested: tuple[Word, ...],
+        plan: _AssemblyPlan,
         v_series: NcSeries,
-        words_full: list[Word],
         lam: complex,
         end: complex,
         error: float,
@@ -229,13 +292,13 @@ class RegularizedTransport:
     ):
         self.basis = basis
         self.ctx = ctx
-        self._requested = requested
+        self._plan = plan
         self._v = v_series
-        self._words_full = words_full
         self._lam = lam
         self._end = end
         self._error = error
         self._tol = tol
+        self._values: np.ndarray | None = None
 
     @classmethod
     def along(
@@ -262,39 +325,21 @@ class RegularizedTransport:
         hint = puncture if puncture is not None else path.reg_start
         j = _puncture_at(basis, path.start, hint)
         ctx = good_puncture_ctx(basis, j)
-        kj = ctx.form_label
-
-        part_words = {word(kj)}
-        for w in requested:
-            for _, terms in _decomposition(w.letters, kj):
-                part_words.update(u for u, _ in terms)
-        v_support = tail_closure(part_words - {word(kj)})
-        words_full = factor_closure(set(requested) | part_words)
+        plan = _assembly_plan(requested, ctx.form_label)
 
         segs = path.segments
         seg_tol = tol / len(segs)
         v_series, err = segment_transport(
             basis,
             segs[0],
-            words_full,
-            zero_words=v_support,
+            plan.words_full,
+            zero_words=plan.v_support,
             exempt=j,
             tol=seg_tol,
         )
-        reg = reg_line_integral(Path((segs[0],)), kj, basis, tol=seg_tol)
-        lam = reg.value
+        reg = reg_line_integral(Path((segs[0],)), ctx.form_label, basis, tol=seg_tol)
         err += reg.error
-        out = cls(
-            basis,
-            ctx,
-            requested,
-            v_series,
-            words_full,
-            lam,
-            segs[0].point(1.0),
-            err,
-            tol,
-        )
+        out = cls(basis, ctx, plan, v_series, reg.value, segs[0].point(1.0), err, tol)
         for seg in segs[1:]:
             out.extend(seg, tol=seg_tol)
         return out
@@ -306,42 +351,53 @@ class RegularizedTransport:
                 f"segment starts at {seg.point(0.0)}, transport ends at {self._end}"
             )
         t, err = segment_transport(
-            self.basis, seg, self._words_full, tol=tol if tol is not None else self._tol
+            self.basis, seg, self._plan.words_full, tol=tol if tol is not None else self._tol
         )
         self._v = t.product(self._v)
-        self._lam += t.coefficient(word(self.ctx.form_label))
+        self._lam += t.coefficient(self._plan.letter)
         self._end = seg.point(1.0)
         self._error += err
+        self._values = None
 
     @property
     def error(self) -> float:
         return self._error
 
-    def _word_value(self, w: Word) -> complex:
-        if w.is_empty:
-            return 1.0 + 0j
-        total = 0j
-        try:
-            for i, terms in _decomposition(w.letters, self.ctx.form_label):
-                inner = sum(m * self._v.coefficient(u) for u, m in terms)
-                total += self._lam ** i / math.factorial(i) * inner
-        except KeyError:
-            raise MissingLabelError(
-                f"word {w} was not part of the transported set"
-            ) from None
-        return total
+    def _assembled(self) -> np.ndarray:
+        """Values of the requested words, in request order."""
+        if self._values is None:
+            plan = self._plan
+            v = np.array([self._v.coeffs[u] for u in plan.v_support], dtype=complex)
+            lam_powers = np.array(
+                [self._lam ** i / math.factorial(i) for i in range(plan.depth + 1)]
+            )
+            terms = v[plan.column] * plan.multiplicity * lam_powers[plan.power]
+            # bincount adds each word's terms one after another, in plan order
+            n = len(plan.requested)
+            self._values = np.bincount(plan.row, terms.real, n) + 1j * np.bincount(
+                plan.row, terms.imag, n
+            )
+        return self._values
 
     def value(self, w) -> complex:
         """Regularized iterated integral of a word or generalized word."""
-        gw = _as_gw(w)
-        return sum((c * self._word_value(wd) for wd, c in gw.items()), 0j)
+        values = self._assembled()
+        total = 0j
+        for wd, c in _as_gw(w).items():
+            if wd.is_empty:
+                total += c
+                continue
+            row = self._plan.index.get(wd)
+            if row is None:
+                raise MissingLabelError(f"word {wd} was not part of the transported set")
+            total += c * values[row]
+        return total
 
     def series(self) -> NcSeries:
         """All requested words as a series (support as requested)."""
-        coeffs = {wd: self._word_value(wd) for wd in self._requested}
+        coeffs = dict(zip(self._plan.requested, self._assembled().tolist()))
         coeffs[EMPTY_WORD] = 1.0 + 0j
-        depth = max((len(wd) for wd in self._requested), default=0)
-        return NcSeries(coeffs, depth)
+        return NcSeries(coeffs, self._plan.depth)
 
 
 def reg_iterated(path: Path, w, basis: FormBasis, *, tol: float = 1e-12) -> complex:

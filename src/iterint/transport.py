@@ -29,7 +29,13 @@ runs the same plan once, one word length at a time.
 Each segment is integrated on 16 Gauss-Legendre nodes with a spectral
 integration matrix, nested over word length, and bisected adaptively until
 direct and composed evaluations agree to tolerance; a child piece reuses
-its parent's solve of it as its own direct evaluation.  The same bisection
+its parent's solve of it as its own direct evaluation.  A word set is
+compiled once into a solve plan (memoized in a bounded cache, and looked up
+once per segment): its first letters and, for each word length, the rows of
+the words' first letters and of their tails in the previous length.  A
+solve then runs one gathered product of forms and tail integrals, one
+product with the integration matrix and one with the end row per word
+length.  The same bisection
 serves the regularized line integral, whose pieces are depth-one series.
 The forms at all nodes of a piece come from one call of the array
 evaluator in ``surfaces`` (``_form_values``).
@@ -85,15 +91,23 @@ _NODES, _END_ROW, _INT_MATRIX = _build_quadrature()
 
 
 def all_words(alphabet: Sequence[int], depth: int) -> list[Word]:
-    """Every word over the alphabet up to the given length, shortest first."""
+    """Every word over the alphabet up to the given length, shortest first.
+
+    Repeated calls return new lists of the same ``Word`` objects.
+    """
     if depth < 0:
         raise ConfigError("depth must be nonnegative")
+    return list(_all_words(tuple(alphabet), depth))
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _all_words(alphabet: tuple[int, ...], depth: int) -> tuple[Word, ...]:
     out = [EMPTY_WORD]
     layer = [EMPTY_WORD]
     for _ in range(depth):
         layer = [Word((a,) + w.letters) for w in layer for a in alphabet]
         out.extend(layer)
-    return out
+    return tuple(out)
 
 
 def _sorted_words(letters: set[tuple]) -> list[Word]:
@@ -278,12 +292,16 @@ class NcSeries:
         return NcSeries(dict(zip(words, inv[plan.index[ok]].tolist())), self.depth)
 
     def max_abs_diff(self, other: "NcSeries", words: Iterable[Word] | None = None) -> float:
-        keys = set(self.coeffs) & set(other.coeffs)
-        if words is not None:
-            keys &= set(words)
-        if not keys:
-            return math.inf
-        return max(abs(self.coeffs[w] - other.coeffs[w]) for w in keys)
+        """Largest |difference| over the words both supports (and ``words``,
+        if given) hold; inf when there are none."""
+        if words is None and tuple(self.coeffs) == tuple(other.coeffs):
+            diff = self._values() - other._values()
+        else:
+            keys = set(self.coeffs) & set(other.coeffs)
+            if words is not None:
+                keys &= set(words)
+            diff = np.array([self.coeffs[w] - other.coeffs[w] for w in keys], dtype=complex)
+        return float(np.abs(diff).max()) if diff.size else math.inf
 
     def __repr__(self) -> str:
         return f"NcSeries({len(self.coeffs)} words, depth={self.depth})"
@@ -294,28 +312,72 @@ def compose_series(after: NcSeries, before: NcSeries) -> NcSeries:
     return after.product(before)
 
 
+@dataclass(frozen=True, eq=False)
+class _SolvePlan:
+    """A solve's word support compiled into one gather per word length.
+
+    ``words`` is the support, the empty word first; ``len()`` counts it.
+    ``labels`` are the sorted first letters, the rows of the form values.
+    ``levels`` has one (positions, first, tail) per word length 1, 2, ...:
+    the words' positions in ``words``, their first letters' rows in
+    ``labels`` and their tails' rows in the previous length.
+    """
+
+    words: tuple[Word, ...]
+    labels: tuple[int, ...]
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _solve_plan(words: tuple[Word, ...]) -> _SolvePlan:
+    """Compile a tail-closed support (any order) for ``_solve_segment``."""
+    support = tuple(dict.fromkeys((EMPTY_WORD,) + words))
+    labels = sorted({w[0] for w in support[1:]})
+    label_row = {a: k for k, a in enumerate(labels)}
+    by_length: dict[int, list] = {}
+    for pos, w in enumerate(support[1:], 1):
+        by_length.setdefault(len(w), []).append((pos, w.letters))
+    levels = []
+    rows = {(): 0}
+    for n in range(1, max(by_length, default=0) + 1):
+        group = by_length.get(n, [])
+        # a missing tail is a support that is not tail-closed
+        level = (
+            [pos for pos, _ in group],
+            [label_row[ls[0]] for _, ls in group],
+            [rows[ls[1:]] for _, ls in group],
+        )
+        levels.append(tuple(np.array(a, dtype=np.intp) for a in level))
+        rows = {ls: k for k, (_, ls) in enumerate(group)}
+    return _SolvePlan(support, tuple(labels), tuple(levels))
+
+
 def _solve_segment(
     basis: FormBasis,
     seg: Segment,
-    words: Sequence[Word],
+    words: _SolvePlan,
     exempt: int | None,
 ) -> NcSeries:
-    """One Gauss-Legendre sweep: nested quadrature over word length."""
-    labels = sorted({w[0] for w in words if not w.is_empty})
+    """One Gauss-Legendre sweep: nested quadrature, one product per word length.
+
+    The integrand of a word at the nodes is its first letter's pulled-back
+    form times its tail's nodewise integral; ``words`` is the compiled plan
+    of the support (``_solve_plan``).
+    """
     # the pulled-back forms f_k(seg(t)) seg'(t) at all nodes, in one evaluation
-    values = _form_values(basis, labels, seg.point(_NODES), exempt=exempt)
-    g = dict(zip(labels, values * seg.velocity(_NODES)))
-    ones = np.ones(_N_NODES, dtype=complex)
-    nodewise: dict[tuple, np.ndarray] = {(): ones}
-    coeffs: dict[Word, complex] = {EMPTY_WORD: 1.0 + 0j}
-    for w in words:
-        ls = w.letters
-        if not ls:
-            continue
-        integrand = g[ls[0]] * nodewise[ls[1:]]
-        nodewise[ls] = _INT_MATRIX @ integrand
-        coeffs[w] = complex(_END_ROW @ integrand)
-    return NcSeries(coeffs, max(len(w) for w in words))
+    g = _form_values(basis, words.labels, seg.point(_NODES), exempt=exempt)
+    g *= seg.velocity(_NODES)
+    coeffs = np.empty(len(words), dtype=complex)
+    coeffs[0] = 1.0
+    nodewise = np.ones((1, _N_NODES), dtype=complex)
+    for pos, first, tail in words.levels:
+        integrand = g[first] * nodewise[tail]
+        coeffs[pos] = integrand @ _END_ROW
+        nodewise = integrand @ _INT_MATRIX.T
+    return NcSeries(dict(zip(words.words, coeffs.tolist())), len(words.levels))
 
 
 def _adaptive_segment(
@@ -342,7 +404,7 @@ def _adaptive_segment(
     # Below the rounding floor of the coefficients themselves nothing can be
     # gained by splitting; accept, and report no less than the floor, which
     # the composed value can still be off by.
-    scale = max((abs(c) for c in direct.coeffs.values()), default=0.0)
+    scale = float(np.abs(direct._values()).max(initial=0.0))
     floor = 64.0 * np.finfo(float).eps * scale
     if diff < tol or diff < floor:
         return composed, max(diff, floor)
@@ -374,13 +436,13 @@ def segment_transport(
     guard is waived there.  Returns the series and an error estimate.
     """
     _check_clearance(basis, seg, exempt)
-    words_full = list(words_full)
+    full = _solve_plan(tuple(words_full))
+    start = full if zero_words is None else _solve_plan(tuple(zero_words))
 
     # The puncture exemption applies to the whole segment, whose early
     # pieces are legitimately close to a regularized start.
     def solve(a: float, b: float) -> NcSeries:
-        words = zero_words if (a == 0.0 and zero_words is not None) else words_full
-        return _solve_segment(basis, seg.restrict(a, b), words, exempt)
+        return _solve_segment(basis, seg.restrict(a, b), start if a == 0.0 else full, exempt)
 
     return _adaptive_segment(solve, 0.0, 1.0, tol, 0)
 

@@ -23,17 +23,26 @@ from .errors import MissingLabelError
 FormLabel = int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
-    """An ordered tuple of basis-form labels."""
+    """An ordered tuple of basis-form labels.
+
+    The hash is computed once, at construction; it is the one the dataclass
+    would compute on every call, so words hash and compare as before.
+    """
 
     letters: tuple[FormLabel, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         letters = tuple(int(a) for a in self.letters)
         if any(a < 0 for a in letters):
             raise ValueError(f"form labels must be non-negative, got {letters}")
         object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_hash", hash((letters,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -205,9 +214,6 @@ def shuffle_gw(u: Word | GeneralizedWord, v: Word | GeneralizedWord) -> Generali
     return GeneralizedWord(acc)
 
 
-_DECOMPOSE_CACHE_SIZE = 4096
-
-
 def _trailing_run(letters: tuple, j: FormLabel) -> int:
     """Number of consecutive copies of ``j`` at the right end."""
     n = 0
@@ -218,7 +224,6 @@ def _trailing_run(letters: tuple, j: FormLabel) -> int:
     return n
 
 
-@lru_cache(maxsize=_DECOMPOSE_CACHE_SIZE)
 def _decomposition(
     letters: tuple, j: FormLabel
 ) -> tuple[tuple[int, tuple[tuple[Word, int], ...]], ...]:
@@ -263,7 +268,7 @@ def decompose_at(
 
     Returns ``[(i, w(i))]`` sorted by increasing power, zero parts dropped.
     The expansion exists and is unique, so it is the linear extension of the
-    memoized expansion of each plain word.  Ring operations only, so exact
+    expansion of each plain word.  Ring operations only, so exact
     coefficients stay exact.
     """
     parts: dict[int, dict[Word, Any]] = {}

@@ -3,7 +3,8 @@
 Everything here is deliberately written with different algorithms from the
 package code: shuffles by explicit position choice, zeta by Euler-Maclaurin
 summation, winding numbers by dense midpoint quadrature, series products and
-inverses on plain dicts (the inverse by its sum over compositions).
+inverses on plain dicts (the inverse by its sum over compositions), the
+nested segment solve one word at a time in plain Python sums.
 """
 
 from __future__ import annotations
@@ -79,6 +80,25 @@ def ref_inverse(series: dict, depth: int) -> dict:
                 term *= series[f]
             total += term
         out[w] = total
+    return out
+
+
+def ref_nested_solve(forms: dict, int_matrix, end_row, words) -> dict:
+    """Iterated integrals of tail-closed words (letter tuples) on one piece.
+
+    ``forms[a]`` holds the pulled-back form of letter a at the quadrature
+    nodes.  Word by word, shortest first: the integrand of (a, *tail) is
+    forms[a] times the nodewise integral of the tail, its coefficient is the
+    end row applied to the integrand and its own nodewise integral the
+    integration matrix applied to it.
+    """
+    n = len(end_row)
+    nodewise = {(): [1.0] * n}
+    out = {(): 1.0 + 0j}
+    for w in sorted(set(words) - {()}, key=len):
+        integrand = [f * t for f, t in zip(forms[w[0]], nodewise[w[1:]])]
+        nodewise[w] = [sum(q * x for q, x in zip(row, integrand)) for row in int_matrix]
+        out[w] = sum(e * x for e, x in zip(end_row, integrand))
     return out
 
 

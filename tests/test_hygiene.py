@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package or its tests imports a name it
-never uses, and no private module-level name of the package is left without
-a use.  Standard library only: the checks walk each file's syntax tree."""
+never uses, no private module-level name of the package is left without
+a use, and every cache of the package is bounded.  Standard library only:
+the checks walk each file's syntax tree."""
 
 import ast
 from pathlib import Path
@@ -103,3 +104,75 @@ def test_checker_finds_unreferenced_private_names():
 
 def test_private_names_are_referenced():
     assert unreferenced_private([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+def _int_constants(sources: list[str]) -> dict[str, int]:
+    """Module-level names bound to an integer literal, across the sources."""
+    out: dict[str, int] = {}
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant):
+                if type(stmt.value.value) is int:
+                    out.update((t.id, stmt.value.value) for t in stmt.targets if isinstance(t, ast.Name))
+    return out
+
+
+def unbounded_caches(sources: list[str]) -> list[str]:
+    """``functools.cache`` imports and uses, and ``lru_cache`` calls (as
+    decorators or not) whose ``maxsize`` is not a positive integer: a
+    literal, or a module-level name of any of the ``sources`` bound to one.
+    A bare ``@lru_cache`` keeps its default bound of 128.  Each finding is
+    "source index:line"."""
+    constants = _int_constants(sources)
+
+    def bounded(node: ast.expr) -> bool:
+        if isinstance(node, ast.Name):
+            size = constants.get(node.id)
+        else:
+            size = node.value if isinstance(node, ast.Constant) else None
+        return type(size) is int and size > 0
+
+    out = []
+    for k, source in enumerate(sources):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+                unbounded = called == "lru_cache" and sizes and not bounded(sizes[0])
+            elif isinstance(node, ast.ImportFrom):
+                unbounded = node.module == "functools" and any(a.name == "cache" for a in node.names)
+            else:
+                unbounded = (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "cache"
+                    and getattr(node.value, "id", None) == "functools"
+                )
+            if unbounded:
+                out.append(f"{k}:{node.lineno}")
+    return out
+
+
+def test_checker_finds_unbounded_caches():
+    sources = [
+        "import functools\nfrom functools import lru_cache\n_N = 8\n"
+        "@lru_cache(maxsize=_N)\ndef a(x): pass\n"
+        "@functools.lru_cache(16)\ndef b(x): pass\n"
+        "@lru_cache\ndef c(x): pass\n"
+        "@lru_cache(typed=True)\ndef d(x): pass\n"
+        "@lru_cache(maxsize=None)\ndef e(x): pass\n"
+        "@functools.lru_cache(None)\ndef f(x): pass\n"
+        "g = lru_cache(maxsize=None)(len)\n"
+        "@functools.cache\ndef h(x): pass\n"
+        "@lru_cache(maxsize=_M)\ndef i(x): pass\n"
+        "@lru_cache(maxsize=_FLOAT)\ndef j(x): pass\n"
+        "@lru_cache(maxsize=0.5)\ndef k(x): pass\n",
+        "_M = 4\n_FLOAT = 2.0\nfrom functools import cache\ncache = 1\n",
+    ]
+    assert sorted(unbounded_caches(sources)) == [
+        "0:12", "0:14", "0:16", "0:17", "0:21", "0:23", "1:3"
+    ]
+
+
+def test_caches_are_bounded():
+    assert unbounded_caches([p.read_text(encoding="utf-8") for p in PACKAGE]) == []

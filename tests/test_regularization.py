@@ -27,8 +27,9 @@ from iterint.regularization import (
     zeta_word,
 )
 from iterint.surfaces import FormBasis, SurfaceConfig, eval_form
+import iterint.transport as transport_mod
 from iterint.transport import all_words
-from iterint.words import GeneralizedWord, Word, shuffle, word
+from iterint.words import GeneralizedWord, Word, decompose_at, shuffle, word
 
 from oracles import zeta_em
 
@@ -251,6 +252,38 @@ class TestRegIterated:
         with pytest.raises(MissingLabelError):
             rt.value(word(1, 1))
 
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_assembly_matches_decomposition(self, genus, sphere01, torus3):
+        # every requested word, those ending in the distinguished letter
+        # among them, is sum_i lam^i/i! V[w(i)], before and after an extend
+        s, b = (sphere01, torus3)[genus]
+        j, end, after = ((0, 0.4 + 0.3j, 0.5 + 0.1j), (1, 0.3 + 0.2j, 0.35 + 0.05j))[genus]
+        kj = good_puncture_ctx(b, j).form_label
+        rng = random.Random(23)
+        requested = [word(kj), word(kj, kj), word(1 - kj, kj), word(kj, 1 - kj, kj, kj)]
+        requested += [
+            Word(tuple(rng.randrange(b.n_forms) for _ in range(rng.randint(1, 4))))
+            for _ in range(8)
+        ]
+        rt = RegularizedTransport.along(
+            line_path(s.punctures[j], end), b, words=requested, puncture=j
+        )
+        for extended in (False, True):
+            if extended:
+                rt.extend(LineSegment(end, after))
+            series = rt.series()
+            for w in requested:
+                terms = [
+                    rt._lam ** i / math.factorial(i) * c * rt._v.coefficient(u)
+                    for i, gw in decompose_at(w, kj)
+                    for u, c in gw.items()
+                ]
+                scale = sum(abs(t) for t in terms)
+                assert abs(rt.value(w) - sum(terms)) <= 1e-14 * scale, (w, extended)
+                assert series.coefficient(w) == rt.value(w)
+            assert rt.value(word()) == 1.0
+            assert series.coefficient(word()) == 1.0
+
     def test_extend_requires_chaining(self, sphere01):
         _, b = sphere01
         rt = RegularizedTransport.along(line_path(0.0, 0.5), b, depth=1, puncture=0)
@@ -418,6 +451,28 @@ class TestAssociator:
             assert one.coeffs.keys() == s.coeffs.keys()
             assert abs(one.coefficient(word()) - 1) < 1e-12
             assert max(abs(c) for w, c in one.coeffs.items() if not w.is_empty) < 1e-12
+
+    def test_warm_associator_work(self, monkeypatch):
+        # once a depth-8 request has been compiled, another pair of punctures
+        # reuses every word and plan: no Word is built, and the segment
+        # solves are those of the adaptive bisection alone
+        warm = FormBasis.genus0(SurfaceConfig(0, (0, 0.7 + 0.9j)))
+        associator(warm, 1, 0, depth=8)
+        counts = {"words": 0, "solves": 0}
+        post_init, solve = Word.__post_init__, transport_mod._solve_segment
+
+        def counting_post_init(self):
+            counts["words"] += 1
+            post_init(self)
+
+        def counting_solve(*args):
+            counts["solves"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(Word, "__post_init__", counting_post_init)
+        monkeypatch.setattr(transport_mod, "_solve_segment", counting_solve)
+        associator(FormBasis.genus0(SurfaceConfig(0, (0, 0.3 + 1.9j))), 1, 0, depth=8)
+        assert counts == {"words": 0, "solves": 24}
 
     def test_argument_validation(self, sphere01):
         _, b = sphere01

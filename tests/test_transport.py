@@ -18,7 +18,7 @@ from iterint.paths import (
     loop_around,
     reverse,
 )
-from iterint.surfaces import FormBasis, SurfaceConfig
+from iterint.surfaces import FormBasis, SurfaceConfig, _form_values
 from iterint.transport import (
     IntegralResult,
     NcSeries,
@@ -31,9 +31,9 @@ from iterint.transport import (
     transport_series,
 )
 import iterint.transport as transport_mod
-from iterint.words import EMPTY_WORD, GeneralizedWord, shuffle, word
+from iterint.words import EMPTY_WORD, GeneralizedWord, Word, shuffle, word
 
-from oracles import ref_inverse, ref_product
+from oracles import ref_inverse, ref_nested_solve, ref_product
 
 # frozen references (20-digit evaluations of the classical polylogarithm)
 LI2_06 = 0.72758630771633338951
@@ -319,6 +319,54 @@ class TestTransportProperties:
         assert fine_diff < 1e-8
         assert coarse.error >= coarse_diff
         assert fine.error >= fine_diff
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_matches_per_word_reference(self, genus):
+        # random tail-closed supports over 2-4 letters up to depth 5, on a
+        # piece clear of the punctures and on the start piece of a segment
+        # leaving a good puncture, solved on the words not ending in its letter
+        punctures = (0.0, 0.45, 0.25 + 0.35j, 0.65 + 0.8j)
+        rng = random.Random(17 + genus)
+        for _ in range(6):
+            n = rng.randint(2, 4)
+            if genus == 0:
+                b = FormBasis.genus0(SurfaceConfig(0, punctures[:n]))
+                start, singular, end = 0, 0, 0.4 + 0.3j
+            else:
+                b = FormBasis.genus1(SurfaceConfig(1, punctures[:n], tau=0.1 + 1.05j))
+                start, singular, end = 1, 1, 0.3 + 0.2j
+            drawn = [
+                Word(tuple(rng.randrange(n) for _ in range(rng.randint(1, 5))))
+                for _ in range(rng.randint(1, 12))
+            ]
+            support = tail_closure(drawn)
+            rng.shuffle(support)  # a plan takes its support in any order
+            zero = [w for w in support if w.is_empty or w[-1] != singular]
+            leg = LineSegment(b.surface.punctures[start], end)
+            pieces = (
+                (LineSegment(0.2 + 0.5j, 0.7 + 0.6j), support, None),
+                (leg.restrict(0.0, 0.5), zero, start),
+            )
+            for seg, words, exempt in pieces:
+                got = transport_mod._solve_segment(
+                    b, seg, transport_mod._solve_plan(tuple(words)), exempt
+                )
+                labels = list(range(n))
+                forms = _form_values(
+                    b, labels, seg.point(transport_mod._NODES), exempt=exempt
+                ) * seg.velocity(transport_mod._NODES)
+                want = ref_nested_solve(
+                    dict(zip(labels, forms.tolist())),
+                    transport_mod._INT_MATRIX.tolist(),
+                    transport_mod._END_ROW.tolist(),
+                    [w.letters for w in words],
+                )
+                assert {w.letters for w in got.coeffs} == set(want)
+                scale = max(abs(c) for c in want.values())
+                for w, c in got.coeffs.items():
+                    assert abs(c - want[w.letters]) <= 1e-14 * scale, w
 
 
 class TestErrorCalibration:

@@ -169,7 +169,7 @@ class TestDecomposeAt:
                     assert type(c) in (int, Fraction)
             assert rebuilt == g
             assert any(type(c) is Fraction for _, p in parts for c in p.terms.values())
-            # the per-word expansions are memoized; repeats must not drift
+            # repeats give the same expansion
             assert decompose_at(g, j) == parts
             assert decompose_leading(g, j) == decompose_leading(g, j)
 
