@@ -10,7 +10,7 @@ class ConfigError(IterintError):
 
 
 class MissingLabelError(IterintError):
-    """A form label is absent from a differential-structure table."""
+    """A word was asked of a regularized transport that did not transport it."""
 
 
 class PoleProximityError(IterintError):

@@ -17,11 +17,6 @@ from typing import Union
 
 import numpy as np
 
-try:  # CPython's own sha256; hashlib's would load OpenSSL (3 MB resident) for a label
-    from _sha256 import sha256
-except ImportError:
-    from hashlib import sha256
-
 from .errors import ConfigError, EndpointMismatchError, PoleProximityError
 
 _JUNCTION_TOL = 1e-12
@@ -161,18 +156,6 @@ class Path:
         """Derivative of point(t) in the global parametrization."""
         seg, s = self._locate(t)
         return seg.velocity(min(max(s, 0.0), 1.0)) * (self.length / seg.length)
-
-    def content_id(self) -> str:
-        h = sha256()
-        for seg in self.segments:
-            if isinstance(seg, LineSegment):
-                h.update(f"L{seg.start!r}{seg.end!r}".encode())
-            else:
-                h.update(
-                    f"A{seg.center!r}{seg.radius!r}{seg.theta0!r}{seg.theta1!r}".encode()
-                )
-        h.update(f"r{self.reg_start}e{self.reg_end}".encode())
-        return h.hexdigest()[:16]
 
 
 def line_path(start: complex, end: complex, **flags) -> Path:

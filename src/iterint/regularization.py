@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -87,6 +87,8 @@ _LADDER_RUNGS = 14
 _GUARD_MARGIN = 3.0
 # highest power of r/r0 in the ladder fit (``_ladder_fit``'s q_max)
 _ANALYTIC_DEGREE = 3
+# where on the line from P_j to P_i the associator is probed, as fractions
+_PROBE_FRACTIONS = (0.5, 0.3)
 # largest disagreement between associator probes before a ConventionError
 _CONSISTENCY_TOL = 1e-6
 
@@ -600,25 +602,21 @@ def associator(
     j: int,
     *,
     depth: int,
-    probe_fractions: Sequence[float] = (0.5, 0.3),
     tol: float = 1e-12,
 ) -> AssociatorSeries:
     """Associator between the regularized transports based at P_i and P_j.
 
-    Computed at interior probe points on the connecting line; disagreement
-    between probes signals a convention or depth error and raises.
+    Computed at the two probe points P_j + f (P_i - P_j), f = 0.5 and 0.3,
+    on the connecting line; disagreement between them signals a convention
+    or depth error and raises.
     """
     if i == j:
         raise ConfigError("associator needs two distinct punctures")
-    if len(probe_fractions) < 2:
-        raise ConfigError("need at least two probe fractions")
     p_i = basis.surface.punctures[i]
     p_j = basis.surface.punctures[j]
     results = []
     errors = []
-    for f in probe_fractions:
-        if not 0.0 < f < 1.0:
-            raise ConfigError("probe fractions must be strictly inside (0, 1)")
+    for f in _PROBE_FRACTIONS:
         z = p_j + f * (p_i - p_j)
         l_i = RegularizedTransport.along(
             line_path(p_i, z), basis, depth=depth, puncture=i, tol=tol

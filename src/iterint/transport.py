@@ -217,13 +217,14 @@ class NcSeries:
 
     Coefficients exist only for words in the support; missing words are
     undefined, not zero, so partially supported series stay honest under
-    products.
+    products.  The constructor does not copy: the series owns the dict it
+    is given, and the caller must not change it afterwards.
     """
 
     __slots__ = ("coeffs", "depth")
 
     def __init__(self, coeffs: dict[Word, complex], depth: int):
-        self.coeffs = dict(coeffs)
+        self.coeffs = coeffs
         self.depth = depth
 
     @classmethod
@@ -511,7 +512,6 @@ class IntegralResult:
     words: tuple
     values: tuple[complex, ...]
     error: float
-    path_id: str
 
     @property
     def value(self) -> complex:
@@ -538,7 +538,7 @@ def iterated_integral(
         else:
             raise ConfigError(f"cannot integrate object of type {type(item).__name__}")
     if not plain:
-        return IntegralResult(requested, (0j,) * len(requested), 0.0, path.content_id())
+        return IntegralResult(requested, (0j,) * len(requested), 0.0)
     result = transport_series(path, basis, words=plain, tol=tol)
     values = tuple(result.series.coefficient(item) for item in requested)
-    return IntegralResult(requested, values, result.error, path.content_id())
+    return IntegralResult(requested, values, result.error)

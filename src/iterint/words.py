@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Hashable, Iterable, Iterator, Mapping
-
-from .errors import MissingLabelError
+from typing import Any, Iterable, Iterator, Mapping
 
 FormLabel = int
 
@@ -299,157 +297,3 @@ def decompose_leading(
         return GeneralizedWord({wd.reversed(): c for wd, c in gw.items()})
 
     return [(s, rev(gw)) for s, gw in decompose_at(rev(_as_gw(w)), j)]
-
-
-@dataclass(frozen=True, eq=False)
-class DifferentialStructure:
-    """Exterior-derivative and wedge tables for a 1-form basis.
-
-    ``d_table[k]`` maps 2-form labels to coefficients of d(w_k);
-    ``wedge_table[(a, b)]`` likewise for w_a ∧ w_b.  Missing labels are an
-    error rather than an implicit zero; use :meth:`for_curve` for the
-    identically-zero tables of a basis of closed forms on a curve.
-    """
-
-    d_table: dict[FormLabel, dict[Hashable, Any]]
-    wedge_table: dict[tuple[FormLabel, FormLabel], dict[Hashable, Any]] = field(
-        default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        for (a, b), tbl in self.wedge_table.items():
-            if a == b and any(c != 0 for c in tbl.values()):
-                raise ValueError(f"wedge of {a} with itself must vanish")
-            rev = self.wedge_table.get((b, a))
-            if a != b and rev is not None:
-                keys = set(tbl) | set(rev)
-                for om in keys:
-                    if tbl.get(om, 0) != -rev.get(om, 0):
-                        raise ValueError(
-                            f"wedge table not antisymmetric at ({a},{b}) label {om!r}"
-                        )
-
-    @classmethod
-    def for_curve(cls, n_forms: int) -> "DifferentialStructure":
-        """Zero tables: every basis form closed, every wedge of multiples of dz zero."""
-        d = {k: {} for k in range(n_forms)}
-        wedge = {
-            (a, b): {} for a in range(n_forms) for b in range(n_forms) if a != b
-        }
-        return cls(d, wedge)
-
-    def d_of(self, k: FormLabel) -> dict[Hashable, Any]:
-        try:
-            return self.d_table[k]
-        except KeyError:
-            raise MissingLabelError(f"no d-table entry for form label {k}") from None
-
-    def wedge_of(self, a: FormLabel, b: FormLabel) -> dict[Hashable, Any]:
-        if a == b:
-            return {}
-        if (a, b) in self.wedge_table:
-            return self.wedge_table[(a, b)]
-        if (b, a) in self.wedge_table:
-            return {om: -c for om, c in self.wedge_table[(b, a)].items()}
-        raise MissingLabelError(f"no wedge-table entry for form pair ({a},{b})")
-
-
-TensorKey = tuple[tuple, Hashable, tuple]
-
-
-class TensorElement:
-    """Linear combination of words carrying exactly one 2-form slot.
-
-    Keys are ``(prefix letters, 2-form label, suffix letters)``; both the
-    derivative terms (slot replaces one letter) and the wedge terms (slot
-    replaces two adjacent letters) of Chen's D live here.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[TensorKey, Any] | Iterable[tuple[TensorKey, Any]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[TensorKey, Any] = {}
-        for k, c in items:
-            acc[k] = acc.get(k, 0) + c
-        self._terms = {k: c for k, c in acc.items() if c != 0}
-
-    @property
-    def terms(self) -> dict[TensorKey, Any]:
-        return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):  # pragma: no cover - mutability guard
-        raise TypeError("TensorElement is not hashable")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            acc[k] = acc.get(k, 0) + c
-        return TensorElement(acc)
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "TensorElement(0)"
-        return "TensorElement(%d terms)" % len(self._terms)
-
-
-def chen_d(w: Word | GeneralizedWord, ds: DifferentialStructure) -> TensorElement:
-    """Chen's integrability tensor D(w).
-
-    D(w_1⊗…⊗w_r) = Σ_i w_1⊗…⊗dw_i⊗…⊗w_r
-                  + Σ_{i<r} w_1⊗…⊗(w_i ∧ w_{i+1})⊗…⊗w_r.
-    Vanishing of D on every subword is Chen's criterion for homotopy
-    invariance of the iterated integral.
-    """
-    acc: dict[TensorKey, Any] = {}
-    for wd, coeff in _as_gw(w)._terms.items():
-        letters = wd.letters
-        r = len(letters)
-        for i in range(r):
-            for om, c in ds.d_of(letters[i]).items():
-                key = (letters[:i], om, letters[i + 1 :])
-                acc[key] = acc.get(key, 0) + coeff * c
-        for i in range(r - 1):
-            for om, c in ds.wedge_of(letters[i], letters[i + 1]).items():
-                key = (letters[:i], om, letters[i + 2 :])
-                acc[key] = acc.get(key, 0) + coeff * c
-    return TensorElement(acc)
-
-
-def is_homotopy_invariant(w: Word | GeneralizedWord, ds: DifferentialStructure) -> bool:
-    """True when D(w) = 0, e.g. always for closed forms on a curve."""
-    return chen_d(w, ds).is_zero
-
-
-def word_to_json(w: Word) -> list[int]:
-    return list(w.letters)
-
-
-def word_from_json(data: Iterable[int]) -> Word:
-    return Word(tuple(int(a) for a in data))
-
-
-def gw_to_json(gw: GeneralizedWord) -> list[dict]:
-    out = []
-    for w, c in gw.items():
-        z = complex(c)
-        out.append({"word": word_to_json(w), "re": z.real, "im": z.imag})
-    return out
-
-
-def gw_from_json(data: Iterable[Mapping]) -> GeneralizedWord:
-    acc: dict[Word, complex] = {}
-    for rec in data:
-        w = word_from_json(rec["word"])
-        c = complex(float(rec.get("re", 0.0)), float(rec.get("im", 0.0)))
-        acc[w] = acc.get(w, 0) + c
-    return GeneralizedWord(acc)

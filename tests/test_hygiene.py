@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or its tests imports a name it
 never uses, no private module-level name of the package is left without
-a use, and every cache of the package is bounded.  Standard library only:
-the checks walk each file's syntax tree."""
+a use, every public one is used or exported, and every cache of the
+package is bounded.  Standard library only: the checks walk each file's
+syntax tree."""
 
 import ast
 from pathlib import Path
@@ -33,14 +34,10 @@ def unused_imports(source: str) -> list[str]:
             imported.update(a.asname or a.name for a in node.names)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
         for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
             if annotation is not None:
                 used |= _annotation_names(annotation)
-    return sorted(imported - used)
+    return sorted(imported - used - _exported([source]))
 
 
 def _defined_names(stmt: ast.stmt) -> set[str]:
@@ -51,6 +48,16 @@ def _defined_names(stmt: ast.stmt) -> set[str]:
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
         return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
     return set()
+
+
+def _exported(sources: list[str]) -> set[str]:
+    """The names listed in any module-level ``__all__`` of the sources."""
+    out: set[str] = set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.Assign) and "__all__" in _defined_names(stmt):
+                out.update(ast.literal_eval(stmt.value))
+    return out
 
 
 def _referenced_names(stmt: ast.stmt) -> set[str]:
@@ -67,18 +74,33 @@ def _referenced_names(stmt: ast.stmt) -> set[str]:
     return out
 
 
-def unreferenced_private(sources: list[str]) -> list[str]:
-    """Module-level functions, classes and constants named with a leading
-    underscore (dunders aside) that no other statement of any of the
-    ``sources`` reads; a use inside its own definition does not count."""
+def _unread(sources: list[str], kind) -> set[str]:
+    """Module-level names for which ``kind(name)`` holds that no other
+    statement of any of the ``sources`` reads; a use inside its own
+    definition does not count."""
     defined: set[str] = set()
     used: set[str] = set()
     for source in sources:
         for stmt in ast.parse(source).body:
-            names = {n for n in _defined_names(stmt) if n[:1] == "_" and n[:2] != "__"}
+            names = {n for n in _defined_names(stmt) if kind(n)}
             defined |= names
             used |= _referenced_names(stmt) - names
-    return sorted(defined - used)
+    return defined - used
+
+
+def unreferenced_private(sources: list[str]) -> list[str]:
+    """Module-level functions, classes and constants named with a leading
+    underscore (dunders aside) that no other statement of any of the
+    ``sources`` reads."""
+    return sorted(_unread(sources, lambda n: n[:1] == "_" and n[:2] != "__"))
+
+
+def unexported_public(sources: list[str]) -> list[str]:
+    """Module-level functions, classes and constants without a leading
+    underscore that no other statement of any of the ``sources`` reads and
+    that no ``__all__`` of theirs exports: public names nobody can reach
+    but by importing the module that defines them."""
+    return sorted(_unread(sources, lambda n: n[:1] != "_") - _exported(sources))
 
 
 def test_checker_finds_unused_names():
@@ -104,6 +126,19 @@ def test_checker_finds_unreferenced_private_names():
 
 def test_private_names_are_referenced():
     assert unreferenced_private([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+def test_checker_finds_unexported_public_names():
+    sources = [
+        "A = 1\nB = 2\n__all__ = ['C']\ndef f(n):\n    return f(n - 1)\n"
+        "class C:\n    pass\ndef _g():\n    return B\n",
+        "def h(x: 'D'):\n    return m.A\nclass D:\n    pass\n",
+    ]
+    assert unexported_public(sources) == ["f", "h"]
+
+
+def test_public_names_are_read_or_exported():
+    assert unexported_public([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
 
 
 def _int_constants(sources: list[str]) -> dict[str, int]:

@@ -99,14 +99,6 @@ class TestPath:
         p = line_path(0, 1, reg_start=0)
         assert p.reg_start == 0 and p.reg_end is None
 
-    def test_content_id(self):
-        p1 = line_path(0, 1)
-        p2 = line_path(0, 1)
-        p3 = line_path(0, 1 + 1e-9j)
-        assert p1.content_id() == p2.content_id()
-        assert p1.content_id() != p3.content_id()
-        assert p1.content_id() != line_path(0, 1, reg_start=0).content_id()
-
 
 class TestComposeReverse:
     def test_compose(self):

@@ -28,7 +28,7 @@ from iterint.regularization import (
 )
 from iterint.surfaces import FormBasis, SurfaceConfig, eval_form
 import iterint.transport as transport_mod
-from iterint.transport import all_words
+from iterint.transport import all_words, transport_series
 from iterint.words import GeneralizedWord, Word, decompose_at, shuffle, word
 
 from oracles import zeta_em
@@ -478,10 +478,32 @@ class TestAssociator:
         _, b = sphere01
         with pytest.raises(ConfigError):
             associator(b, 1, 1, depth=2)
-        with pytest.raises(ConfigError):
-            associator(b, 1, 0, depth=2, probe_fractions=(0.5,))
-        with pytest.raises(ConfigError):
-            associator(b, 1, 0, depth=2, probe_fractions=(0.5, 1.5))
+
+
+class TestSeriesOwnership:
+    """A series owns its coefficient dict, so a caller that changes a
+    returned series must not change what the next identical request gets."""
+
+    REQUESTS = {
+        "transport_series": lambda b: transport_series(
+            line_path(0.2 + 0.1j, 0.8), b, depth=3
+        ).series,
+        "RegularizedTransport.series": lambda b: RegularizedTransport.along(
+            line_path(0.0, 0.6, reg_start=0), b, depth=3, puncture=0
+        ).series(),
+        "associator": lambda b: associator(b, 1, 0, depth=3).series,
+    }
+
+    @pytest.mark.parametrize("request_name", sorted(REQUESTS))
+    def test_mutating_a_result_leaves_the_next_one_alone(self, sphere01, request_name):
+        _, b = sphere01
+        run = self.REQUESTS[request_name]
+        first = run(b)
+        before = dict(first.coeffs)
+        for w in first.coeffs:
+            first.coeffs[w] = 1e6 + 0j
+        first.coeffs[word(5, 5)] = 1e6 + 0j
+        assert run(b).coeffs == before
 
 
 class TestMonodromy:

@@ -480,7 +480,6 @@ class TestIteratedIntegral:
         _, b = sphere01
         p = line_path(0.2, 0.8)
         r = iterated_integral(p, word(0), b)
-        assert r.path_id == p.content_id()
         assert isinstance(r, IntegralResult)
         with pytest.raises(ConfigError):
             iterated_integral(p, "01", b)

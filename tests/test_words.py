@@ -6,18 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterint.errors import MissingLabelError
 from iterint.words import (
     EMPTY_WORD,
-    DifferentialStructure,
     GeneralizedWord,
     Word,
-    chen_d,
     decompose_at,
     decompose_leading,
-    gw_from_json,
-    gw_to_json,
-    is_homotopy_invariant,
     shuffle,
     shuffle_gw,
     word,
@@ -204,65 +198,7 @@ class TestDecomposeLeading:
                 assert w.is_empty or w[0] != j
 
 
-class TestChenD:
-    def test_curve_structure_is_flat(self):
-        ds = DifferentialStructure.for_curve(3)
-        assert is_homotopy_invariant(word(0, 1, 2, 1), ds)
-        assert is_homotopy_invariant(EMPTY_WORD, ds)
-
-    def test_single_letter_derivative(self):
-        ds = DifferentialStructure({0: {"Om": 1}, 1: {}}, {(0, 1): {}, (1, 0): {}})
-        got = chen_d(word(0), ds)
-        assert got.terms == {((), "Om", ()): 1}
-
-    def test_wedge_term(self):
-        ds = DifferentialStructure(
-            {0: {}, 1: {}}, {(0, 1): {"Om": 1}, (1, 0): {"Om": -1}}
-        )
-        got = chen_d(word(0, 1), ds)
-        assert got.terms == {((), "Om", ()): 1}
-        assert chen_d(word(1, 0), ds).terms == {((), "Om", ()): -1}
-        assert not is_homotopy_invariant(word(0, 1), ds)
-
-    def test_derivative_and_wedge_mix(self):
-        ds = DifferentialStructure(
-            {0: {"A": 1}, 1: {}}, {(0, 1): {"B": 2}, (1, 0): {"B": -2}}
-        )
-        got = chen_d(word(0, 1), ds)
-        assert got.terms == {((), "A", (1,)): 1, ((), "B", ()): 2}
-
-    def test_linear_in_the_word(self):
-        ds = DifferentialStructure(
-            {0: {"A": 1}, 1: {"A": -1}}, {(0, 1): {}, (1, 0): {}}
-        )
-        g = gw(((0,), 2), ((1,), 2))
-        got = chen_d(g, ds)
-        assert got.is_zero
-
-    def test_missing_label_raises(self):
-        ds = DifferentialStructure({0: {}}, {})
-        with pytest.raises(MissingLabelError):
-            chen_d(word(1), ds)
-        # wedge of a letter with itself never consults the table
-        assert chen_d(word(0, 0), ds).is_zero
-        with pytest.raises(MissingLabelError):
-            chen_d(word(0, 1), DifferentialStructure({0: {}, 1: {}}, {}))
-
-    def test_antisymmetry_validated(self):
-        with pytest.raises(ValueError):
-            DifferentialStructure({0: {}, 1: {}}, {(0, 1): {"A": 1}, (1, 0): {"A": 1}})
-        with pytest.raises(ValueError):
-            DifferentialStructure({0: {}}, {(0, 0): {"A": 1}})
-
-
 class TestSerialization:
-    def test_gw_json_roundtrip(self):
-        g = gw(((0, 1), 1 + 2j), ((2,), -0.5))
-        data = gw_to_json(g)
-        assert all(set(rec) == {"word", "re", "im"} for rec in data)
-        back = gw_from_json(data)
-        assert back == gw(((0, 1), complex(1, 2)), ((2,), complex(-0.5, 0)))
-
     def test_word_validation(self):
         with pytest.raises(ValueError):
             Word((-1, 0))
