@@ -3,9 +3,10 @@
 Paths are tuples of segments with exactly matching junctions.  Each segment
 maps s in [0,1] (or an array of s) to a point and a velocity; the path also
 offers a global arclength-proportional parametrization.  A path may be
-flagged as starting or ending at a puncture (reg_start / reg_end); those
-endpoints are where regularized integrals are anchored, and the adjacent
-segment must be a straight line so the approach direction is well defined.
+flagged as starting or ending at a puncture (reg_start / reg_end), and the
+adjacent segment must then be a straight line so the approach direction is
+well defined.  Regularized integrals are anchored at a flagged start only;
+``reverse`` turns a flagged end into one.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ Segment = Union[LineSegment, ArcSegment]
 @dataclass(frozen=True)
 class Path:
     """Chain of segments.  reg_start / reg_end hold the puncture index when
-    the corresponding endpoint sits on a puncture and integrals there are to
-    be regularized."""
+    the corresponding endpoint sits on a puncture.  Integrals are
+    regularized at reg_start only; ``transport_series`` rejects a path with
+    either flag set."""
 
     segments: tuple[Segment, ...]
     reg_start: int | None = None

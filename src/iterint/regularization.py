@@ -55,8 +55,6 @@ from .paths import (
 from .surfaces import (
     FormBasis,
     _form_values,
-    _log_theta,
-    dlog_theta_sub,
     eval_form,
 )
 from .transport import (
@@ -160,22 +158,16 @@ class RegularizedValue:
 
 
 def _subtracted_integrand(basis: FormBasis, k: int, j: int):
-    """f_k(z) - res_j(f_k)/(z - P_j) at arrays of points, stable near P_j.
+    """f_k(z) - res_j(f_k)/(z - P_j) at arrays of points.  Both terms keep
+    their relative accuracy up to P_j, so the difference is taken directly.
 
     Returns None when the difference vanishes identically.
     """
     f = basis.forms[k]
     if f.kind == "genus0_log" and f.pole == j:
         return None
-    if f.kind == "elliptic_log" and j in (f.k1, f.k2):
-        other = f.k2 if f.k1 == j else f.k1
-        sign = 1.0 if f.k1 == j else -1.0
-        s, theta, name = basis.surface, basis.theta, [f"puncture {other}"]
-        return lambda z: sign * (
-            dlog_theta_sub(z - s.punctures[j], theta)
-            - _log_theta((z - s.punctures[other])[None], theta, 1, s.pole_guard, name)[0][0]
-        )
-    return lambda z: _form_values(basis, (k,), z)[0]
+    res, pole = f.residue_at(j), basis.surface.punctures[j]
+    return lambda z: _form_values(basis, (k,), z, exempt=j)[0] - res / (z - pole)
 
 
 def reg_line_integral(

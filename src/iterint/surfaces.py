@@ -9,10 +9,16 @@ representatives in C).  The basis is dz plus n-1 difference forms
 dlog theta(z - P_k1) - dlog theta(z - P_k2) with residue +1 at P_k1 and -1 at
 P_k2, built from the odd Jacobi theta function
 
-    theta11(z) = sum_n exp(pi*i*(n+1/2)^2*tau + 2*pi*i*(n+1/2)*(z+1/2)).
+    theta11(z) = sum_n exp(pi*i*(n+1/2)^2*tau + 2*pi*i*(n+1/2)*(z+1/2))
+               = -2 sum_{n>=0} (-1)^n q^((n+1/2)^2) sin((2n+1)*pi*z),  q = exp(pi*i*tau),
+
+the second line pairing the terms n and -1-n of the first.  Every sine is
+O(z) where theta11 is, so theta11'/theta11 keeps its relative accuracy up to
+the pole and needs no separate treatment there.
 
 Every genus-1 value reads from one array evaluator: ``_reduce``, exact
-``lattice_distance``, ``_theta_derivatives`` (the sum) and ``_log_theta``.
+``lattice_distance``, ``_theta_derivatives`` (the paired sum) and
+``_log_theta``.
 Every question of which lattice copy of a puncture is near, at a point or
 along a segment, is answered here from the reduced basis ``_lattice_basis``.
 """
@@ -51,43 +57,58 @@ def complex_from_json(data) -> complex:
 
 
 _TAIL_BOUND = 1e-16
+_THETA_GUARD = 1e-13
+_THETA_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
 class ThetaParams:
     """Modulus and series truncation for theta11 evaluation.
 
-    ``truncation`` is the index cutoff N (terms n = -N..N-1); when omitted it
-    is chosen so the largest dropped term is below ``_TAIL_BOUND`` for
-    arguments reduced to the fundamental cell.
+    ``truncation`` is the number N of sine pairs (n = 0..N-1), derived from
+    tau: enough that the largest dropped term is below ``_TAIL_BOUND`` for
+    arguments reduced to the fundamental cell, and few enough that no sine
+    there overflows.
     """
 
     tau: complex
-    truncation: int | None = None
+    truncation: int = field(init=False)
 
     def __post_init__(self) -> None:
         tau = complex(self.tau)
         object.__setattr__(self, "tau", tau)
         if tau.imag <= 0:
             raise ConfigError(f"theta modulus needs Im(tau) > 0, got {tau}")
-        if self.truncation is None:
-            object.__setattr__(self, "truncation", self._auto_truncation())
-        elif self.truncation < 2:
-            raise ConfigError("theta truncation must be at least 2")
+        object.__setattr__(self, "truncation", self._auto_truncation())
 
     def _auto_truncation(self) -> int:
         # Dropped term with |Im z| <= Im(tau)/2 is bounded by
-        # exp(-pi*Im(tau)*(q^2 - q)), q = N - 1/2.
+        # exp(-pi*Im(tau)*(q^2 - q)), q = N - 1/2.  The last sine grows to
+        # exp((2N-1)*pi*Im(tau)/2), kept below exp(600) so that none
+        # overflows; that cap binds only for Im(tau) > 34.7, where every
+        # term it drops is below exp(-81).
         y = self.tau.imag
+        most = int((1200.0 / (math.pi * y) + 1.0) / 2.0)
+        if most < 1:
+            raise ConfigError(f"Im(tau) = {y} too large for reliable theta series")
         for n in range(4, 201):
             q = n - 0.5
             if math.exp(-math.pi * y * (q * q - q)) < _TAIL_BOUND * 1e-2:
-                return n + 2
+                return min(n + 2, most)
         raise ConfigError(f"Im(tau) = {y} too small for reliable theta series")
 
 
-_THETA_GUARD = 1e-13
-_THETA_CACHE_SIZE = 64
+@lru_cache(maxsize=_THETA_CACHE_SIZE)
+def _pair_terms(p: ThetaParams) -> tuple[np.ndarray, np.ndarray]:
+    """(k, c) with theta11^(d)(z) = sum_n c[d, n] * (sin, cos)[d % 2](k_n z)
+    for d = 0..3: k_n = (2n+1) pi and c[d] = (-1)^(d//2) k^d w, where
+    w_n = -2 (-1)^n q^((n+1/2)^2), n = 0..truncation-1."""
+    n = np.arange(p.truncation)
+    k = (2 * n + 1) * math.pi
+    w = -2.0 * (-1.0) ** n * np.exp(1j * math.pi * p.tau * (n + 0.5) ** 2)
+    c = np.array([w, w * k, -w * k * k, -w * k * k * k])
+    k.flags.writeable = c.flags.writeable = False  # shared by every caller
+    return k, c
 
 
 def _like(z, values: np.ndarray):
@@ -162,15 +183,14 @@ def _segment_distances(surface: "SurfaceConfig", seg: Segment) -> np.ndarray:
 
 
 def _theta_derivatives(z0: np.ndarray, p: ThetaParams, order: int) -> np.ndarray:
-    """Rows 0..order: theta11 and its derivatives at the reduced 1-d z0, from
-    one exponential over the (points x terms) grid.  Each point sums its own
-    terms, so no value depends on the others (a BLAS product's would)."""
-    half = np.arange(-p.truncation, p.truncation) + 0.5
-    step = TWO_PI_I * half
-    rows = [np.exp(1j * math.pi * p.tau * half * half + (z0[:, None] + 0.5) * step)]
-    for _ in range(order):
-        rows.append(rows[-1] * step)
-    return np.array([row.sum(axis=-1) for row in rows])
+    """Rows 0..order (order <= 3): theta11 and its derivatives at the reduced
+    1-d z0, from one sine and one cosine over the (points x pairs) grid.  Each
+    point sums its own terms, so no value depends on the others (a BLAS
+    product's would)."""
+    k, c = _pair_terms(p)
+    x = z0[:, None] * k
+    waves = (np.sin(x), np.cos(x))
+    return np.array([(c[d] * waves[d % 2]).sum(axis=-1) for d in range(order + 1)])
 
 
 def _check_poles(dist: np.ndarray, limits: np.ndarray, w: np.ndarray, names) -> None:
@@ -210,44 +230,15 @@ def dlog_theta(z, p: ThetaParams):
     return _like(z, _log_theta(np.asarray(z, dtype=complex).reshape(1, -1), p)[0][0])
 
 
-@lru_cache(maxsize=_THETA_CACHE_SIZE)
-def _theta_odd_coeffs(p: ThetaParams) -> tuple[complex, complex, complex]:
-    """(c3, c5, c7) in theta11(z) = theta11'(0) * (z + c3 z^3 + c5 z^5 + c7 z^7 + ...)."""
-    d = _theta_derivatives(np.zeros(1), p, 7)[:, 0].tolist()
-    return d[3] / (6.0 * d[1]), d[5] / (120.0 * d[1]), d[7] / (5040.0 * d[1])
-
-
-_SUB_SERIES_RADIUS = 0.01
-
-
-def dlog_theta_sub(z, p: ThetaParams):
-    """dlog_theta(z) - 1/z.  Near the origin the two terms cancel to O(z) and
-    the direct difference loses precision; a short odd series is used there."""
-    zs = np.ravel(np.asarray(z, dtype=complex))
-    z0, m, k = _reduce(zs, p.tau)
-    near = (m == 0) & (k == 0) & (np.abs(z0) < _SUB_SERIES_RADIUS)
-    out = np.empty(zs.shape, dtype=complex)
-    c3, c5, c7 = _theta_odd_coeffs(p)
-    x = z0[near]
-    x2 = x * x
-    out[near] = x * (
-        2.0 * c3
-        + x2 * (4.0 * c5 - 2.0 * c3 * c3)
-        + x2 * x2 * (6.0 * c7 - 6.0 * c3 * c5 + 2.0 * c3 ** 3)
-    )
-    far = zs[~near]
-    out[~near] = _log_theta(far.reshape(1, -1), p)[0][0] - 1.0 / far
-    return _like(z, out)
-
-
 def d2log_theta(z, p: ThetaParams):
     """Second log-derivative of theta11; doubly periodic."""
     return _like(z, _log_theta(np.asarray(z, dtype=complex).reshape(1, -1), p, 2)[1][0])
 
 
 def theta_c(p: ThetaParams) -> complex:
-    """theta11'''(0)/theta11'(0) = 6 c3, the constant appearing in the Fay identity."""
-    return 6.0 * _theta_odd_coeffs(p)[0]
+    """theta11'''(0)/theta11'(0), the constant appearing in the Fay identity."""
+    c = _pair_terms(p)[1]
+    return complex(c[3].sum() / c[1].sum())
 
 
 @dataclass(frozen=True)
@@ -366,11 +357,12 @@ class FormSpec:
 
 @dataclass(frozen=True)
 class FormBasis:
-    """An ordered basis of logarithmic 1-forms on a punctured surface."""
+    """An ordered basis of logarithmic 1-forms on a punctured surface.
+    ``theta`` is derived from the surface's tau (None at genus 0)."""
 
     surface: SurfaceConfig
     forms: tuple[FormSpec, ...]
-    theta: ThetaParams | None = None
+    theta: ThetaParams | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         forms = tuple(self.forms)
@@ -387,8 +379,6 @@ class FormBasis:
             poles = [f.pole for f in forms]
             if any(p >= n for p in poles) or len(set(poles)) != len(poles):
                 raise ConfigError("genus 0 poles must be distinct valid puncture indices")
-            if self.theta is not None:
-                raise ConfigError("theta parameters only apply to genus 1")
         else:
             if not forms or forms[0].kind != "dz":
                 raise ConfigError("genus 1 basis must start with the dz form")
@@ -409,10 +399,7 @@ class FormBasis:
                     mat[r, f.k2] -= 1.0
                 if np.linalg.matrix_rank(mat) != len(rest):
                     raise ConfigError("elliptic forms have dependent residue vectors")
-            if self.theta is None:
-                object.__setattr__(self, "theta", ThetaParams(s.tau))
-            elif self.theta.tau != s.tau:
-                raise ConfigError("theta modulus disagrees with surface tau")
+            object.__setattr__(self, "theta", ThetaParams(s.tau))
 
     @classmethod
     def genus0(cls, surface: SurfaceConfig) -> "FormBasis":

@@ -66,6 +66,14 @@ class TestPolylog:
         assert abs(complex(*by_key["0-1"]["value"]) + LI2_06) < 1e-12
         assert abs(complex(*by_key["0"]["value"]) - math.log(0.6)) < 1e-12
 
+    def test_reg_end_path_exits_2(self, tmp_path, capsys):
+        # only the start of a path is regularized; a path that ends on a
+        # puncture is rejected, not silently integrated
+        segment = {"type": "line", "start": [0.4, 0], "end": [1, 0]}
+        job = {"basis": SPHERE, "path": {"segments": [segment], "reg_end": 1}, "words": [[0, 1]]}
+        assert main(["polylog", "--config", write_config(tmp_path, "job.json", job)]) == 2
+        assert "expects an unregularized path" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"basis": {')
@@ -205,6 +213,12 @@ class TestCheck:
         assert main(["polylog", "--config", write_config(tmp_path, "job.json", job)]) == 2
         assert "too small" in capsys.readouterr().err
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("tau", ["0.15i", "0.1i"])
+    def test_small_im_tau_associator_passes(self, tmp_path, tau):
+        out = tmp_path / "rep.json"
+        assert main(["check", "associator", "--genus", "1", "--tau", tau, "--out", str(out)]) == 0
+        assert all(c["pass"] for c in json.loads(out.read_text())["cases"])
 
     def test_fay_no_draw_fits_exits_2(self, capsys):
         # no two points are 0.15 apart mod this lattice; the draws are bounded

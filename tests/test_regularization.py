@@ -126,29 +126,29 @@ class TestRegLineIntegral:
         assert abs(r.value - complex(want)) < 1e-11
 
     def test_small_im_tau_does_not_stall(self):
-        # at tau = 0.15i the subtracted integrand is rough at the rounding
-        # level, so refinement must stop at the rounding floor.  The gap to
-        # mpmath comes from dlog_theta_sub's series near the start, not from
-        # the quadrature, so it is checked against 1e-9, not against error.
-        s = SurfaceConfig(1, (0.0, 0.45, 0.25 + 0.35j), tau=0.15j)
-        b = FormBasis.genus1(s)
-        start, end = s.punctures[2], 0.35 + 0.175j
-        r = reg_line_integral(line_path(start, end), 2, b)
+        # at small Im(tau) the subtracted integrand is rough at the rounding
+        # level, so refinement must stop at the rounding floor, and the
+        # reported error must still cover the gap to mpmath
+        for tau in (0.3j, 0.15j, 0.1j):
+            s = SurfaceConfig(1, (0.0, 0.45, 0.25 + 0.35j), tau=tau)
+            b = FormBasis.genus1(s)
+            start, end = s.punctures[2], 0.35 + 0.175j
+            r = reg_line_integral(line_path(start, end), 2, b)
 
-        with mpmath.workdps(30):
-            q = mpmath.exp(1j * mpmath.pi * s.tau)
+            with mpmath.workdps(20):
+                q = mpmath.exp(1j * mpmath.pi * s.tau)
 
-            def dlog(x):
-                u = mpmath.pi * x
-                return mpmath.pi * mpmath.jtheta(1, u, q, 1) / mpmath.jtheta(1, u, q)
+                def dlog(x):
+                    u = mpmath.pi * x
+                    return mpmath.pi * mpmath.jtheta(1, u, q, 1) / mpmath.jtheta(1, u, q)
 
-            def integrand(t):
-                z = start + t * (end - start)
-                zeta = z - start
-                return (dlog(zeta) - 1 / zeta - dlog(z - s.punctures[0])) * (end - start)
+                def integrand(t):
+                    z = start + t * (end - start)
+                    zeta = z - start
+                    return (dlog(zeta) - 1 / zeta - dlog(z - s.punctures[0])) * (end - start)
 
-            want = mpmath.quad(integrand, [0, 1]) + mpmath.log(abs(end - start))
-        assert abs(r.value - complex(want)) < 1e-9
+                want = mpmath.quad(integrand, [0, 1]) + mpmath.log(abs(end - start))
+            assert abs(r.value - complex(want)) <= r.error, tau
 
     def test_start_must_sit_on_puncture(self, sphere01):
         _, b = sphere01
@@ -369,6 +369,27 @@ class TestAsymptotic:
         b = FormBasis.genus0(s)
         with pytest.raises(FitError):
             mzv(b, 1, 0, word(0, 1))
+
+    def test_small_im_tau_rungs_stay_cheap(self, monkeypatch):
+        # near the target puncture dlog theta keeps its relative accuracy, so
+        # a rung's bisection accepts at its first split even at tau = 0.15i
+        s = SurfaceConfig(1, (0.0, 0.45, 0.25 + 0.35j), tau=0.15j)
+        p_i, p_j = s.punctures[2], s.punctures[1]
+        gaps = []
+        solve = transport_mod._solve_segment
+
+        def counting_solve(basis, seg, words, exempt):
+            gaps.append(abs(seg.point(0.5) - p_i))
+            return solve(basis, seg, words, exempt)
+
+        monkeypatch.setattr(transport_mod, "_solve_segment", counting_solve)
+        mzv(FormBasis.genus1(s), 2, 1, word(2, 1))
+        # rung m runs from radius r0 2^-m to the next one, toward P_i
+        r0 = 0.05 * abs(p_j - p_i)
+        radii = [r0 * 2.0 ** -m for m in range(13)] + [r0 * 2.0 ** -12.5]
+        per_rung = [sum(lo < g < hi for g in gaps) for hi, lo in zip(radii, radii[1:])]
+        assert min(per_rung) >= 3, per_rung
+        assert max(per_rung) <= 5, per_rung
 
     def test_same_puncture_rejected(self, sphere01):
         _, b = sphere01

@@ -27,7 +27,6 @@ from iterint.surfaces import (
     _segment_distances,
     d2log_theta,
     dlog_theta,
-    dlog_theta_sub,
     eval_form,
     fay_residual,
     form_from_json,
@@ -46,9 +45,9 @@ def mp_theta(z, tau):
     return -complex(mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), q))
 
 
-def mp_log_derivatives(z, tau):
+def mp_log_derivatives(z, tau, dps=30):
     """(dlog theta11, d2log theta11) at z from mpmath's jtheta derivatives."""
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
         u = mpmath.pi * mpmath.mpc(z)
         t0, t1, t2 = (mpmath.jtheta(1, u, q, r) for r in range(3))
@@ -133,12 +132,11 @@ class TestTheta:
         rng = np.random.default_rng(2)
         p = ThetaParams(tau)
         z = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
-        z[:2] = (0.004 + 0.003j, -0.002j)  # dlog_theta_sub's series branch
+        z[:2] = (0.004 + 0.003j, -0.002j)  # near the pole at 0
         for f, modulus in (
             (theta11, p),
             (dlog_theta, p),
             (d2log_theta, p),
-            (dlog_theta_sub, p),
             (lattice_distance, tau),
         ):
             got = f(z, modulus)
@@ -172,9 +170,30 @@ class TestTheta:
         with pytest.raises(ConfigError):
             ThetaParams(0.5)  # real modulus
 
-    def test_truncation_floor(self):
-        with pytest.raises(ConfigError):
-            ThetaParams(1j, truncation=1)
+    @pytest.mark.parametrize("tau", (1j, 0.3j, 0.15j, 0.1j, 0.4 + 0.8j))
+    def test_dlog_near_pole_matches_mpmath(self, tau):
+        # relative accuracy up to the pole: the paired sines carry no O(1)
+        # terms that cancel where theta is O(w).  What is left is the sum's
+        # own conditioning, sum|w_n k_n| / |sum w_n k_n|: 24 at 0.15i and
+        # 266 at 0.1i, where it costs one more digit.
+        bound = 1e-13 if tau == 0.1j else 1e-14
+        p = ThetaParams(tau)
+        for r in (1e-6, 1e-4, 1e-2):
+            for direction in (1, 1j, -1, cmath.exp(0.7j), cmath.exp(-2.1j), cmath.exp(2.9j)):
+                w = r * direction
+                want = mp_log_derivatives(w, tau, dps=40)[0]
+                assert abs(dlog_theta(w, p) - want) <= bound * abs(want), w
+
+    def test_large_im_tau(self):
+        # the sines stay finite: the truncation shrinks where Im(tau) is large
+        for tau in (40j, 100j, 0.3 + 300j):
+            p = ThetaParams(tau)
+            z = 0.3 + 0.4 * tau
+            want1, want2 = mp_log_derivatives(z, tau)
+            assert abs(dlog_theta(z, p) - want1) < 1e-13 * max(1.0, abs(want1))
+            assert abs(d2log_theta(z, p) - want2) < 1e-12 * max(1.0, abs(want2))
+        with pytest.raises(ConfigError, match="too large"):
+            ThetaParams(1000j)
 
 
 class TestSurfaceConfig:
