@@ -12,10 +12,12 @@ shuffle decomposition, so the state of a regularized transport is the pair
 
 and any requested word assembles as  sum_i lam^i/i! * V[w(i)].  A request
 is compiled once per distinguished letter into an assembly plan (memoized in
-a bounded cache): the set V is solved on at the start, the factor-closed set
-transported after it, and every requested word's decomposition as flat
-(word, power, column of V, multiplicity) arrays.  Assembly is then one
-gather from V and one fixed-order sum per word.
+a bounded cache; a ``depth=`` request finds it by alphabet size, depth and
+letter): the solve plan of V's set, used at the start, and of the
+factor-closed set transported after it, the support of the assembled
+series, and every requested word's decomposition as flat (word, power,
+column of V, multiplicity) arrays.  Assembly is then one gather from V and
+one fixed-order sum per word.
 
 Limits toward a second puncture are taken on a geometric radius ladder: the
 values carry powers of log r whose coefficients are recovered by weighted
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -62,10 +64,14 @@ from .transport import (
     _END_ROW,
     _NODES,
     _PLAN_CACHE_SIZE,
+    _SolvePlan,
+    _Support,
     _adaptive_segment,
+    _intern,
+    _solve_plan,
+    _transport_segment,
     all_words,
     factor_closure,
-    segment_transport,
     tail_closure,
     transport_series,
 )
@@ -188,17 +194,17 @@ def reg_line_integral(
     err = 0.0
     if integrand is not None:
         seg_tol = tol / len(path.segments)
-        letter = all_words((k,), 1)[1]  # the word (k,), built once
+        support = _intern(tuple(all_words((k,), 1)))  # () and (k,)
         for seg in path.segments:
             # a piece is the depth-one series {(): 1, (k): its integral}, so
             # the bisection's products add the pieces' integrals
             def solve(a: float, b: float, seg=seg) -> NcSeries:
                 piece = seg.restrict(a, b)
                 vals = integrand(piece.point(_NODES)) * piece.velocity(_NODES)
-                return NcSeries({EMPTY_WORD: 1.0 + 0j, letter: complex(_END_ROW @ vals)}, 1)
+                return NcSeries._of(support, np.array([1.0, _END_ROW @ vals], dtype=complex), 1)
 
             series, piece_err = _adaptive_segment(solve, 0.0, 1.0, seg_tol, 0)
-            total += series.coeffs[letter]
+            total += series.coefficient(support.words[1])
             err += piece_err
     if res:
         total += res * log_variation(path, basis.surface.punctures[j])
@@ -209,25 +215,28 @@ def reg_line_integral(
 # regularized transport
 
 
-class _AssemblyPlan(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _AssemblyPlan:
     """A request compiled for assembly at one distinguished letter.
 
-    ``v_support`` is the tail closure of the decomposition's parts (none of
+    ``v_plan`` solves the tail closure of the decomposition's parts (none of
     which ends in the letter), the set the start piece is solved on;
-    ``words_full`` the factor closure of the requested words, the parts and
-    the letter itself (``letter``).  Each requested word's decomposition
-    is flattened into terms, grouped by word and ordered by power:
-    ``row`` (position in ``requested``), ``power``, ``column`` (position in
-    ``v_support``) and ``multiplicity``.  ``index`` maps a requested word to
-    its row; ``depth`` is the longest requested length.
+    ``full_plan`` the factor closure of the requested words, the parts and
+    the letter itself (``letter``).  ``support`` holds the requested words,
+    then the empty word when it was not requested; ``empty`` is its
+    position.  Each requested word's decomposition is flattened into terms,
+    grouped by word and ordered by power: ``row`` (position in
+    ``support``), ``power``, ``column`` (position in ``v_plan``'s support)
+    and ``multiplicity``.  ``depth`` is the longest requested length.
     """
 
-    requested: tuple[Word, ...]
-    index: dict[Word, int]
+    support: _Support
+    n_requested: int
+    empty: int
     depth: int
     letter: Word
-    v_support: tuple[Word, ...]
-    words_full: tuple[Word, ...]
+    v_plan: _SolvePlan
+    full_plan: _SolvePlan
     row: np.ndarray
     power: np.ndarray
     column: np.ndarray
@@ -236,12 +245,13 @@ class _AssemblyPlan(NamedTuple):
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _assembly_plan(requested: tuple[Word, ...], kj: int) -> _AssemblyPlan:
+    """Compile distinct requested words for assembly at the letter ``kj``."""
     letter = word(kj)
     parts = [_decomposition(w.letters, kj) for w in requested]
     part_words = {u for d in parts for _, terms in d for u, _ in terms}
-    v_support = tuple(tail_closure(part_words))
-    words_full = tuple(factor_closure(set(requested) | part_words | {letter}))
-    column_of = {u: k for k, u in enumerate(v_support)}
+    v_plan = _solve_plan(tuple(tail_closure(part_words)))
+    full_plan = _solve_plan(tuple(factor_closure(set(requested) | part_words | {letter})))
+    column_of = v_plan.support.position
     row, power, column, multiplicity = [], [], [], []
     for r, d in enumerate(parts):
         for i, terms in d:
@@ -250,16 +260,33 @@ def _assembly_plan(requested: tuple[Word, ...], kj: int) -> _AssemblyPlan:
                 power.append(i)
                 column.append(column_of[u])
                 multiplicity.append(m)
+    support = _intern(requested if EMPTY_WORD in requested else requested + (EMPTY_WORD,))
     return _AssemblyPlan(
-        requested,
-        {w: r for r, w in enumerate(requested)},
+        support,
+        len(requested),
+        support.position[EMPTY_WORD],
         max((len(w) for w in requested), default=0),
         letter,
-        v_support,
-        words_full,
+        v_plan,
+        full_plan,
         *(np.array(a, dtype=np.intp) for a in (row, power, column)),
         np.array(multiplicity, dtype=float),
     )
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _depth_assembly_plan(n_forms: int, depth: int, kj: int) -> _AssemblyPlan:
+    """The assembly plan of every word over ``n_forms`` letters up to ``depth``."""
+    return _assembly_plan(tuple(all_words(range(n_forms), depth)), kj)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _v_columns(plan: _AssemblyPlan, support: _Support) -> np.ndarray:
+    """Each assembly term's V word, as a position in a V series' ``support``."""
+    if support is plan.v_plan.support:
+        return plan.column
+    position = support.position
+    return np.array([position[u] for u in plan.v_plan.support.words], dtype=np.intp)[plan.column]
 
 
 class RegularizedTransport:
@@ -307,11 +334,9 @@ class RegularizedTransport:
     ) -> "RegularizedTransport":
         if (depth is None) == (words is None):
             raise ConfigError("give exactly one of depth= or words=")
-        if depth is not None:
-            requested = tuple(all_words(range(basis.n_forms), depth))
-        else:
+        if words is not None:
             requested = tuple(
-                w if isinstance(w, Word) else Word(tuple(w)) for w in words
+                dict.fromkeys(w if isinstance(w, Word) else Word(tuple(w)) for w in words)
             )
             for w in requested:
                 if any(a >= basis.n_forms for a in w.letters):
@@ -319,17 +344,15 @@ class RegularizedTransport:
         hint = puncture if puncture is not None else path.reg_start
         j = _puncture_at(basis, path.start, hint)
         ctx = good_puncture_ctx(basis, j)
-        plan = _assembly_plan(requested, ctx.form_label)
+        if words is None:
+            plan = _depth_assembly_plan(basis.n_forms, depth, ctx.form_label)
+        else:
+            plan = _assembly_plan(requested, ctx.form_label)
 
         segs = path.segments
         seg_tol = tol / len(segs)
-        v_series, err = segment_transport(
-            basis,
-            segs[0],
-            plan.words_full,
-            zero_words=plan.v_support,
-            exempt=j,
-            tol=seg_tol,
+        v_series, err = _transport_segment(
+            basis, segs[0], plan.full_plan, plan.v_plan, j, seg_tol
         )
         reg = reg_line_integral(Path((segs[0],)), ctx.form_label, basis, tol=seg_tol)
         err += reg.error
@@ -344,8 +367,9 @@ class RegularizedTransport:
             raise EndpointMismatchError(
                 f"segment starts at {seg.point(0.0)}, transport ends at {self._end}"
             )
-        t, err = segment_transport(
-            self.basis, seg, self._plan.words_full, tol=tol if tol is not None else self._tol
+        full = self._plan.full_plan
+        t, err = _transport_segment(
+            self.basis, seg, full, full, None, tol if tol is not None else self._tol
         )
         self._v = t.product(self._v)
         self._lam += t.coefficient(self._plan.letter)
@@ -361,13 +385,13 @@ class RegularizedTransport:
         """Values of the requested words, in request order."""
         if self._values is None:
             plan = self._plan
-            v = np.array([self._v.coeffs[u] for u in plan.v_support], dtype=complex)
+            v = self._v.values[_v_columns(plan, self._v.support)]
             lam_powers = np.array(
                 [self._lam ** i / math.factorial(i) for i in range(plan.depth + 1)]
             )
-            terms = v[plan.column] * plan.multiplicity * lam_powers[plan.power]
+            terms = v * plan.multiplicity * lam_powers[plan.power]
             # bincount adds each word's terms one after another, in plan order
-            n = len(plan.requested)
+            n = plan.n_requested
             self._values = np.bincount(plan.row, terms.real, n) + 1j * np.bincount(
                 plan.row, terms.imag, n
             )
@@ -381,17 +405,20 @@ class RegularizedTransport:
             if wd.is_empty:
                 total += c
                 continue
-            row = self._plan.index.get(wd)
+            row = self._plan.support.position.get(wd)
             if row is None:
                 raise MissingLabelError(f"word {wd} was not part of the transported set")
             total += c * values[row]
         return total
 
     def series(self) -> NcSeries:
-        """All requested words as a series (support as requested)."""
-        coeffs = dict(zip(self._plan.requested, self._assembled().tolist()))
-        coeffs[EMPTY_WORD] = 1.0 + 0j
-        return NcSeries(coeffs, self._plan.depth)
+        """All requested words as a series (support as requested, with the
+        empty word)."""
+        plan = self._plan
+        values = np.empty(len(plan.support), dtype=complex)
+        values[: plan.n_requested] = self._assembled()
+        values[plan.empty] = 1.0
+        return NcSeries._of(plan.support, values, plan.depth)
 
 
 def reg_iterated(path: Path, w, basis: FormBasis, *, tol: float = 1e-12) -> complex:

@@ -19,20 +19,25 @@ values with n-1 leading 0 letters.
 Composition: if a path runs alpha then beta, the total series is the
 series product T_beta * T_alpha (later piece on the left).
 
-Series coefficients live in a plain dict keyed by word.  A product compiles
-its pair of supports once into a split plan, the support positions of u
-and v for every split u|v of every computable word (memoized in a bounded
-cache), and then gathers, multiplies and sums the splits of each word
+A series is a complex array over a support, an interned tuple of words
+(``_Support``); ``coeffs``, the word -> coefficient mapping, is derived from
+it on first access.  Every plan is compiled once and cached on the supports
+themselves, compared by identity, so a warm request hashes no word.  A
+product compiles its pair of supports into a split plan, the support
+positions of u and v for every split u|v of every computable word and the
+support of the result (one of the factors' own when the surviving words are
+theirs), and then gathers, multiplies and sums the splits of each word
 length in numpy, adding them in the order a scalar loop would.  The inverse
-runs the same plan once, one word length at a time.
+runs a plan of the same splits, one word length at a time.
 
 Each segment is integrated on 16 Gauss-Legendre nodes with a spectral
 integration matrix, nested over word length, and bisected adaptively until
 direct and composed evaluations agree to tolerance; a child piece reuses
 its parent's solve of it as its own direct evaluation.  A word set is
 compiled once into a solve plan (memoized in a bounded cache, and looked up
-once per segment): its first letters and, for each word length, the rows of
-the words' first letters and of their tails in the previous length.  A
+once per segment; a ``depth=`` request finds it by alphabet size and depth):
+its support, its first letters and, for each word length, the rows of the
+words' first letters and of their tails in the previous length.  A
 solve then runs one gathered product of forms and tail integrals, one
 product with the integration matrix and one with the end row per word
 length.  The same bisection
@@ -47,7 +52,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Callable, Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,13 +101,13 @@ def all_words(alphabet: Sequence[int], depth: int) -> list[Word]:
 
     Repeated calls return new lists of the same ``Word`` objects.
     """
-    if depth < 0:
-        raise ConfigError("depth must be nonnegative")
     return list(_all_words(tuple(alphabet), depth))
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _all_words(alphabet: tuple[int, ...], depth: int) -> tuple[Word, ...]:
+    if depth < 0:
+        raise ConfigError("depth must be nonnegative")
     out = [EMPTY_WORD]
     layer = [EMPTY_WORD]
     for _ in range(depth):
@@ -134,10 +140,40 @@ def tail_closure(words: Iterable[Word]) -> list[Word]:
     return _sorted_words(out)
 
 
+class _Support:
+    """The words of a series, in order; hashed and compared by identity.
+
+    Plans are cached on supports, so a series computed on a plan's support
+    reaches the next plan without hashing a word.  ``position`` (word to
+    index) is built on first use.
+    """
+
+    __slots__ = ("words", "_position")
+
+    def __init__(self, words: tuple[Word, ...]):
+        self.words = words
+        self._position: dict[Word, int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    @property
+    def position(self) -> dict[Word, int]:
+        if self._position is None:
+            self._position = {w: k for k, w in enumerate(self.words)}
+        return self._position
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _intern(words: tuple[Word, ...]) -> _Support:
+    """The support of a word tuple, one object while it stays cached."""
+    return _Support(words)
+
+
 class _SplitPlan(NamedTuple):
     """Every split u|v of the words a product of two supports can compute.
 
-    ``words`` are the surviving words, shortest first and in left-support
+    ``support`` holds the surviving words, shortest first and in left-support
     order within a length; ``index`` is each one's position in the left
     support.  ``left`` and ``right`` hold the support positions of u and v
     for every split.  ``levels`` has one (length n, first word, end word,
@@ -145,7 +181,7 @@ class _SplitPlan(NamedTuple):
     block over its m words, u shortest first down the rows.
     """
 
-    words: tuple[Word, ...]
+    support: _Support
     index: np.ndarray
     left: np.ndarray
     right: np.ndarray
@@ -153,18 +189,18 @@ class _SplitPlan(NamedTuple):
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _split_plan(
-    left_support: tuple[Word, ...], right_support: tuple[Word, ...], depth: int
-) -> _SplitPlan:
-    """Compile the product of two supports (given in dict order) up to depth.
+def _split_plan(left_support: _Support, right_support: _Support, depth: int) -> _SplitPlan:
+    """Compile the product of two supports up to depth.
 
     A word survives when every split u|v has u in the left support and v in
-    the right one; the splits at u = () and u = w put it in both.
+    the right one; the splits at u = () and u = w put it in both.  When the
+    survivors are all of one factor's words, in its order, the result keeps
+    that factor's support.
     """
-    lpos = {w.letters: k for k, w in enumerate(left_support)}
-    rpos = {w.letters: k for k, w in enumerate(right_support)}
+    lpos = {w.letters: k for k, w in enumerate(left_support.words)}
+    rpos = {w.letters: k for k, w in enumerate(right_support.words)}
     kept: dict[int, list] = {}
-    for k, w in enumerate(left_support):
+    for k, w in enumerate(left_support.words):
         ls = w.letters
         n = len(ls)
         if n > depth:
@@ -185,7 +221,56 @@ def _split_plan(
     arrays = [np.array(a, dtype=np.intp) for a in (index, left, right)]
     for a in arrays:
         a.flags.writeable = False
-    return _SplitPlan(tuple(words), *arrays, tuple(levels))
+    return _SplitPlan(_reuse(tuple(words), left_support, right_support), *arrays, tuple(levels))
+
+
+def _reuse(words: tuple[Word, ...], *candidates: _Support) -> _Support:
+    """The first candidate that holds exactly ``words``, else their interned support."""
+    for support in candidates:
+        if support.words == words:
+            return support
+    return _intern(words)
+
+
+class _InversePlan(NamedTuple):
+    """The inverse of a support, compiled from its split plan with itself.
+
+    ``empty`` is the empty word's position in the support, None when it is
+    missing.  ``levels`` has one (positions, u, v) per word length 1, 2, ...
+    over the words whose every split u|v, u != w, has u defined: their
+    positions in the support and the (n, m) blocks of the positions of u and
+    v.  ``index`` holds the positions of the words that keep a coefficient,
+    the words of ``support``.
+    """
+
+    support: _Support
+    empty: int | None
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    index: np.ndarray
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _inverse_plan(support: _Support, depth: int) -> _InversePlan:
+    plan = _split_plan(support, support, depth)
+    defined = np.zeros(len(support), dtype=bool)
+    empty = None
+    levels = []
+    for n, lo, hi, first in plan.levels:
+        pos = plan.index[lo:hi]
+        if n == 0:
+            empty = int(pos[0])
+            defined[pos] = True
+            continue
+        # drop the last split, the one with u = w
+        block = slice(first, first + (n + 1) * (hi - lo))
+        u = plan.left[block].reshape(n + 1, hi - lo)[:-1]
+        v = plan.right[block].reshape(n + 1, hi - lo)[:-1]
+        ok = defined[u].all(axis=0)
+        levels.append((pos[ok], u[:, ok], v[:, ok]))
+        defined[pos[ok]] = True
+    ok = defined[plan.index]
+    words = tuple(compress(plan.support.words, ok))
+    return _InversePlan(_reuse(words, support), empty, tuple(levels), plan.index[ok])
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,17 +300,34 @@ def _sum_rows(block: np.ndarray) -> np.ndarray:
 class NcSeries:
     """Truncated series in noncommuting letters with explicit word support.
 
-    Coefficients exist only for words in the support; missing words are
-    undefined, not zero, so partially supported series stay honest under
-    products.  The constructor does not copy: the series owns the dict it
-    is given, and the caller must not change it afterwards.
+    A series is a read-only complex ``values`` array over ``support``, an
+    interned tuple of words.  Coefficients exist only for words in the
+    support; missing words are undefined, not zero, so partially supported
+    series stay honest under products.  The constructor copies the mapping
+    it is given into the array; ``coeffs`` is a read-only mapping from word
+    to coefficient, in support order, built on first access.
     """
 
-    __slots__ = ("coeffs", "depth")
+    __slots__ = ("support", "values", "depth", "_coeffs")
 
-    def __init__(self, coeffs: dict[Word, complex], depth: int):
-        self.coeffs = coeffs
+    def __init__(self, coeffs: Mapping[Word, complex], depth: int):
+        words = tuple(coeffs)
+        values = np.fromiter(coeffs.values(), dtype=complex, count=len(words))
+        self._assign(_intern(words), values, depth)
+
+    @classmethod
+    def _of(cls, support: _Support, values: np.ndarray, depth: int) -> "NcSeries":
+        """A series on a compiled support; it takes ``values`` over."""
+        series = cls.__new__(cls)
+        series._assign(support, values, depth)
+        return series
+
+    def _assign(self, support: _Support, values: np.ndarray, depth: int) -> None:
+        values.flags.writeable = False
+        self.support = support
+        self.values = values
         self.depth = depth
+        self._coeffs = None
 
     @classmethod
     def identity(cls, support: Iterable[Word], depth: int) -> "NcSeries":
@@ -233,15 +335,19 @@ class NcSeries:
         coeffs[EMPTY_WORD] = 1.0 + 0j
         return cls(coeffs, depth)
 
+    @property
+    def coeffs(self) -> Mapping[Word, complex]:
+        if self._coeffs is None:
+            self._coeffs = MappingProxyType(dict(zip(self.support.words, self.values.tolist())))
+        return self._coeffs
+
     def coefficient(self, w) -> complex:
         if isinstance(w, GeneralizedWord):
-            return sum(c * self.coefficient(v) for v, c in w.items())
-        if w not in self.coeffs:
+            return sum((c * self.coefficient(v) for v, c in w.items()), 0j)
+        k = self.support.position.get(w)
+        if k is None:
             raise KeyError(f"word {w} outside series support")
-        return self.coeffs[w]
-
-    def _values(self) -> np.ndarray:
-        return np.fromiter(self.coeffs.values(), dtype=complex, count=len(self.coeffs))
+        return self.values.item(k)
 
     def product(self, other: "NcSeries") -> "NcSeries":
         """Concatenation product self * other (self applied after other).
@@ -250,13 +356,13 @@ class NcSeries:
         in other's; with factor-closed supports nothing is lost.
         """
         depth = min(self.depth, other.depth)
-        plan = _split_plan(tuple(self.coeffs), tuple(other.coeffs), depth)
-        terms = _mul(self._values()[plan.left], other._values()[plan.right])
-        sums = np.empty(len(plan.words), dtype=complex)
+        plan = _split_plan(self.support, other.support, depth)
+        terms = _mul(self.values[plan.left], other.values[plan.right])
+        sums = np.empty(len(plan.support), dtype=complex)
         for n, lo, hi, first in plan.levels:
             block = terms[first : first + (n + 1) * (hi - lo)]
             sums[lo:hi] = _sum_rows(block.reshape(n + 1, hi - lo))
-        return NcSeries(dict(zip(plan.words, sums.tolist())), depth)
+        return NcSeries._of(plan.support, sums, depth)
 
     def invert(self) -> "NcSeries":
         """Inverse series, one word length at a time: L^-1[()] = 1/c0 and
@@ -267,36 +373,22 @@ class NcSeries:
         a coefficient only when all its contiguous subwords are in the
         support; the others are undefined and dropped.
         """
-        c0 = self.coeffs.get(EMPTY_WORD)
+        plan = _inverse_plan(self.support, self.depth)
+        c0 = None if plan.empty is None else self.values.item(plan.empty)
         if c0 is None or c0 == 0:
             raise ConfigError("cannot invert a series with no constant term")
-        support = tuple(self.coeffs)
-        plan = _split_plan(support, support, self.depth)
-        c = self._values()
-        inv = np.zeros(len(support), dtype=complex)
-        defined = np.zeros(len(support), dtype=bool)
-        for n, lo, hi, first in plan.levels:
-            pos = plan.index[lo:hi]
-            if n == 0:
-                inv[pos] = 1.0 / c0
-                defined[pos] = True
-                continue
-            # drop the last split, the one with u = w
-            block = slice(first, first + (n + 1) * (hi - lo))
-            u = plan.left[block].reshape(n + 1, hi - lo)[:-1]
-            v = plan.right[block].reshape(n + 1, hi - lo)[:-1]
-            ok = defined[u].all(axis=0)
-            inv[pos[ok]] = -_sum_rows(_mul(inv[u[:, ok]], c[v[:, ok]])) / c0
-            defined[pos[ok]] = True
-        ok = defined[plan.index]
-        words = compress(plan.words, ok)
-        return NcSeries(dict(zip(words, inv[plan.index[ok]].tolist())), self.depth)
+        c = self.values
+        inv = np.zeros(len(self.support), dtype=complex)
+        inv[plan.empty] = 1.0 / c0
+        for pos, u, v in plan.levels:
+            inv[pos] = -_sum_rows(_mul(inv[u], c[v])) / c0
+        return NcSeries._of(plan.support, inv[plan.index], self.depth)
 
     def max_abs_diff(self, other: "NcSeries", words: Iterable[Word] | None = None) -> float:
         """Largest |difference| over the words both supports (and ``words``,
         if given) hold; inf when there are none."""
-        if words is None and tuple(self.coeffs) == tuple(other.coeffs):
-            diff = self._values() - other._values()
+        if words is None and self.support.words == other.support.words:
+            diff = self.values - other.values
         else:
             keys = set(self.coeffs) & set(other.coeffs)
             if words is not None:
@@ -305,7 +397,7 @@ class NcSeries:
         return float(np.abs(diff).max()) if diff.size else math.inf
 
     def __repr__(self) -> str:
-        return f"NcSeries({len(self.coeffs)} words, depth={self.depth})"
+        return f"NcSeries({len(self.support)} words, depth={self.depth})"
 
 
 def compose_series(after: NcSeries, before: NcSeries) -> NcSeries:
@@ -317,19 +409,19 @@ def compose_series(after: NcSeries, before: NcSeries) -> NcSeries:
 class _SolvePlan:
     """A solve's word support compiled into one gather per word length.
 
-    ``words`` is the support, the empty word first; ``len()`` counts it.
+    ``support`` holds the words, the empty word first; ``len()`` counts them.
     ``labels`` are the sorted first letters, the rows of the form values.
     ``levels`` has one (positions, first, tail) per word length 1, 2, ...:
-    the words' positions in ``words``, their first letters' rows in
+    the words' positions in ``support``, their first letters' rows in
     ``labels`` and their tails' rows in the previous length.
     """
 
-    words: tuple[Word, ...]
+    support: _Support
     labels: tuple[int, ...]
     levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.support)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -345,7 +437,12 @@ def _solve_plan(words: tuple[Word, ...]) -> _SolvePlan:
     rows = {(): 0}
     for n in range(1, max(by_length, default=0) + 1):
         group = by_length.get(n, [])
-        # a missing tail is a support that is not tail-closed
+        for _, ls in group:
+            if ls[1:] not in rows:
+                raise ConfigError(
+                    f"word support is not tail-closed: it holds {Word(ls)} "
+                    f"but not its tail {Word(ls[1:])}"
+                )
         level = (
             [pos for pos, _ in group],
             [label_row[ls[0]] for _, ls in group],
@@ -353,7 +450,13 @@ def _solve_plan(words: tuple[Word, ...]) -> _SolvePlan:
         )
         levels.append(tuple(np.array(a, dtype=np.intp) for a in level))
         rows = {ls: k for k, (_, ls) in enumerate(group)}
-    return _SolvePlan(support, tuple(labels), tuple(levels))
+    return _SolvePlan(_intern(support), tuple(labels), tuple(levels))
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _depth_plan(n_forms: int, depth: int) -> _SolvePlan:
+    """The solve plan of every word over ``n_forms`` letters up to ``depth``."""
+    return _solve_plan(_all_words(tuple(range(n_forms)), depth))
 
 
 def _solve_segment(
@@ -378,7 +481,7 @@ def _solve_segment(
         integrand = g[first] * nodewise[tail]
         coeffs[pos] = integrand @ _END_ROW
         nodewise = integrand @ _INT_MATRIX.T
-    return NcSeries(dict(zip(words.words, coeffs.tolist())), len(words.levels))
+    return NcSeries._of(words.support, coeffs, len(words.levels))
 
 
 def _adaptive_segment(
@@ -405,7 +508,7 @@ def _adaptive_segment(
     # Below the rounding floor of the coefficients themselves nothing can be
     # gained by splitting; accept, and report no less than the floor, which
     # the composed value can still be off by.
-    scale = float(np.abs(direct._values()).max(initial=0.0))
+    scale = float(np.abs(direct.values).max(initial=0.0))
     floor = 64.0 * np.finfo(float).eps * scale
     if diff < tol or diff < floor:
         return composed, max(diff, floor)
@@ -436,9 +539,22 @@ def segment_transport(
     instead; with ``exempt`` set, the start may sit on that puncture and its
     guard is waived there.  Returns the series and an error estimate.
     """
-    _check_clearance(basis, seg, exempt)
     full = _solve_plan(tuple(words_full))
     start = full if zero_words is None else _solve_plan(tuple(zero_words))
+    return _transport_segment(basis, seg, full, start, exempt, tol)
+
+
+def _transport_segment(
+    basis: FormBasis,
+    seg: Segment,
+    full: _SolvePlan,
+    start: _SolvePlan,
+    exempt: int | None,
+    tol: float,
+) -> tuple[NcSeries, float]:
+    """``segment_transport`` on compiled plans; ``start`` serves the pieces
+    that touch the segment start."""
+    _check_clearance(basis, seg, exempt)
 
     # The puncture exemption applies to the whole segment, whose early
     # pieces are legitimately close to a regularized start.
@@ -486,12 +602,13 @@ def transport_series(
     if (depth is None) == (words is None):
         raise ConfigError("give exactly one of depth= or words=")
     if depth is not None:
-        wordlist = all_words(range(basis.n_forms), depth)
+        plan = _depth_plan(basis.n_forms, depth)
     else:
         wordlist = factor_closure(words)
         for w in wordlist:
             if any(k >= basis.n_forms for k in w.letters):
                 raise ConfigError(f"word {w} uses letters outside the basis")
+        plan = _solve_plan(tuple(wordlist))
     if tol <= 0:
         raise ConfigError("tol must be positive")
 
@@ -499,7 +616,7 @@ def transport_series(
     total: NcSeries | None = None
     err = 0.0
     for seg in path.segments:
-        piece, piece_err = segment_transport(basis, seg, wordlist, tol=seg_tol)
+        piece, piece_err = _transport_segment(basis, seg, plan, plan, None, seg_tol)
         err += piece_err
         total = piece if total is None else piece.product(total)
     return TransportResult(total, err)

@@ -34,10 +34,11 @@ def ref_product(left: dict, right: dict, depth: int) -> dict:
     """Series product on dicts keyed by letter tuples, splits in order.
 
     A word up to ``depth`` is kept when every split u|v has u in ``left``
-    and v in ``right``.
+    and v in ``right``; the kept words come shortest first, in ``left``'s
+    order within a length.
     """
     out = {}
-    for w in set(left) | set(right):
+    for w in sorted(left, key=len):
         if len(w) > depth:
             continue
         splits = [(left.get(w[:i]), right.get(w[i:])) for i in range(len(w) + 1)]
@@ -63,11 +64,12 @@ def ref_inverse(series: dict, depth: int) -> dict:
                   (-1)^k L[f_1] ... L[f_k] / c0^(k+1).
 
     A word up to ``depth`` is kept when every contiguous subword of it is in
-    the support; otherwise some term is unknown.
+    the support; otherwise some term is unknown.  The kept words come
+    shortest first, in the series' order within a length.
     """
     c0 = series[()]
     out = {}
-    for w in series:
+    for w in sorted(series, key=len):
         n = len(w)
         if n > depth:
             continue

@@ -27,6 +27,7 @@ from iterint.regularization import (
     zeta_word,
 )
 from iterint.surfaces import FormBasis, SurfaceConfig, eval_form
+import iterint.regularization as regularization_mod
 import iterint.transport as transport_mod
 from iterint.transport import all_words, transport_series
 from iterint.words import GeneralizedWord, Word, decompose_at, shuffle, word
@@ -475,35 +476,50 @@ class TestAssociator:
 
     def test_warm_associator_work(self, monkeypatch):
         # once a depth-8 request has been compiled, another pair of punctures
-        # reuses every word and plan: no Word is built, and the segment
-        # solves are those of the adaptive bisection alone
+        # reuses every word, support and plan: no Word is built or hashed,
+        # and the segment solves are those of the adaptive bisection alone
         warm = FormBasis.genus0(SurfaceConfig(0, (0, 0.7 + 0.9j)))
         associator(warm, 1, 0, depth=8)
-        counts = {"words": 0, "solves": 0}
-        post_init, solve = Word.__post_init__, transport_mod._solve_segment
+        counts = {"words": 0, "hashes": 0, "solves": 0}
+        post_init, word_hash = Word.__post_init__, Word.__hash__
+        solve = transport_mod._solve_segment
 
         def counting_post_init(self):
             counts["words"] += 1
             post_init(self)
+
+        def counting_hash(self):
+            counts["hashes"] += 1
+            return word_hash(self)
 
         def counting_solve(*args):
             counts["solves"] += 1
             return solve(*args)
 
         monkeypatch.setattr(Word, "__post_init__", counting_post_init)
+        monkeypatch.setattr(Word, "__hash__", counting_hash)
         monkeypatch.setattr(transport_mod, "_solve_segment", counting_solve)
         associator(FormBasis.genus0(SurfaceConfig(0, (0, 0.3 + 1.9j))), 1, 0, depth=8)
-        assert counts == {"words": 0, "solves": 24}
+        assert counts == {"words": 0, "hashes": 0, "solves": 24}
 
     def test_argument_validation(self, sphere01):
         _, b = sphere01
         with pytest.raises(ConfigError):
             associator(b, 1, 1, depth=2)
 
+    def test_assembly_gathers_from_any_v_support(self):
+        # the V series is gathered through its own support, whatever the
+        # order of its words
+        plan = regularization_mod._depth_assembly_plan(2, 3, 0)
+        words = plan.v_plan.support.words
+        reversed_support = transport_mod._Support(words[::-1])
+        columns = regularization_mod._v_columns(plan, reversed_support)
+        assert [reversed_support.words[k] for k in columns] == [words[k] for k in plan.column]
+
 
 class TestSeriesOwnership:
-    """A series owns its coefficient dict, so a caller that changes a
-    returned series must not change what the next identical request gets."""
+    """A returned series is read-only: a caller cannot change it, so it
+    cannot change what the next identical request gets."""
 
     REQUESTS = {
         "transport_series": lambda b: transport_series(
@@ -521,9 +537,12 @@ class TestSeriesOwnership:
         run = self.REQUESTS[request_name]
         first = run(b)
         before = dict(first.coeffs)
-        for w in first.coeffs:
-            first.coeffs[w] = 1e6 + 0j
-        first.coeffs[word(5, 5)] = 1e6 + 0j
+        for w in (next(iter(first.coeffs)), word(5, 5)):
+            with pytest.raises(TypeError):
+                first.coeffs[w] = 1e6 + 0j
+        with pytest.raises(ValueError):
+            first.values[0] = 1e6 + 0j
+        assert first.coeffs == before
         assert run(b).coeffs == before
 
 

@@ -94,15 +94,18 @@ class TestNcSeries:
         s = NcSeries({EMPTY_WORD: 1, word(0): 2.0, word(1): 3.0}, 1)
         gw = GeneralizedWord.of(word(0), 2) - GeneralizedWord.of(word(1))
         assert s.coefficient(gw) == 1.0
+        zero = s.coefficient(GeneralizedWord({}))
+        assert zero == 0 and type(zero) is complex
 
     def test_product_concatenation(self):
         support = all_words(range(2), 2)
-        a = NcSeries({w: 0j for w in support}, 2)
-        b = NcSeries({w: 0j for w in support}, 2)
-        a.coeffs[EMPTY_WORD] = 1.0
-        b.coeffs[EMPTY_WORD] = 1.0
-        a.coeffs[word(0)] = 2.0
-        b.coeffs[word(1)] = 3.0
+        a_coeffs = {w: 0j for w in support}
+        b_coeffs = {w: 0j for w in support}
+        a_coeffs[EMPTY_WORD] = 1.0
+        b_coeffs[EMPTY_WORD] = 1.0
+        a_coeffs[word(0)] = 2.0
+        b_coeffs[word(1)] = 3.0
+        a, b = NcSeries(a_coeffs, 2), NcSeries(b_coeffs, 2)
         p = a.product(b)
         assert p.coefficient(word(0, 1)) == 6.0
         assert p.coefficient(word(1, 0)) == 0.0
@@ -134,10 +137,34 @@ class TestNcSeries:
         inv = NcSeries({EMPTY_WORD: 1, word(0, 1): 2}, 2).invert()
         assert inv.coeffs == {EMPTY_WORD: 1}
 
+    def test_supports_of_products_and_inverses(self):
+        # a product or inverse keeps a factor's support object when it keeps
+        # all of that factor's words, and gets a support of its own otherwise
+        s = NcSeries({w: 0.5j for w in all_words(range(2), 3)}, 3)
+        assert s.product(s).support is s.support
+        assert s.invert().support is s.support
+        assert NcSeries(dict(s.coeffs), 3).support is s.support
+        left = NcSeries({EMPTY_WORD: 1, word(0): 2.0, word(1): 3.0, word(0, 1): 4.0}, 2)
+        right = NcSeries({EMPTY_WORD: 1, word(0): 5.0, word(0, 1): 6.0}, 2)
+        p = left.product(right)
+        assert p.support is not left.support and p.support is not right.support
+        assert p.coeffs == {EMPTY_WORD: 1, word(0): 7.0}
+        assert p.product(left).coeffs == {EMPTY_WORD: 1, word(0): 9.0}
+        # (0, 1) needs (1), which the right factor does not hold
+        assert list(right.invert().coeffs) == [EMPTY_WORD, word(0)]
+        # the same words in another order are another support
+        u = NcSeries({word(0): 2.0, EMPTY_WORD: 1}, 1)
+        for v in (u.product(u), u.invert()):
+            assert v.support is not u.support
+            assert list(v.coeffs) == [EMPTY_WORD, word(0)]
+        assert u.product(u).coeffs == {EMPTY_WORD: 1, word(0): 4.0}
+
     @pytest.mark.parametrize("seed", range(12))
     def test_product_and_invert_match_reference(self, seed):
         # random supports: mismatched between the factors, rarely
-        # factor-closed, sometimes without the empty word
+        # factor-closed, sometimes without the empty word; then the cases
+        # interned supports add: a product as the next factor, a series
+        # rebuilt from an equal dict, equal words on distinct supports
         rng = random.Random(seed)
         letters = rng.choice((2, 3))
 
@@ -154,21 +181,50 @@ class TestNcSeries:
         def plain(s):
             return {w.letters: c for w, c in s.coeffs.items()}
 
+        def check_product(x, y):
+            series = x.product(y)
+            got = plain(series)
+            want = ref_product(plain(x), plain(y), min(x.depth, y.depth))
+            assert list(got) == list(want)
+            # same splits summed in the same order; only a platform that
+            # fuses multiply-adds on one side may move the last bits
+            assert all(abs(got[w] - want[w]) < 1e-14 for w in want)
+            return series
+
+        def check_invert(x):
+            if EMPTY_WORD not in x.coeffs:
+                with pytest.raises(ConfigError):
+                    x.invert()
+                return
+            got = plain(x.invert())
+            want = ref_inverse(plain(x), x.depth)
+            assert list(got) == list(want)
+            assert all(abs(got[w] - want[w]) < 1e-12 for w in want)
+
         a, b = draw(), draw()
-        got = plain(a.product(b))
-        want = ref_product(plain(a), plain(b), min(a.depth, b.depth))
-        assert got.keys() == want.keys()
-        # same splits summed in the same order; only a platform that fuses
-        # multiply-adds on one side may move the last bits
-        assert all(abs(got[w] - want[w]) < 1e-14 for w in want)
-        if EMPTY_WORD not in a.coeffs:
-            with pytest.raises(ConfigError):
-                a.invert()
-            return
-        got = plain(a.invert())
-        want = ref_inverse(plain(a), a.depth)
-        assert got.keys() == want.keys()
-        assert all(abs(got[w] - want[w]) < 1e-12 for w in want)
+        ab = check_product(a, b)
+        check_invert(a)
+        c = draw()
+        for x, y in ((ab, c), (c, ab), (ab, ab)):
+            check_product(x, y)
+        check_invert(ab)
+        twin = NcSeries(dict(a.coeffs), a.depth)
+        check_product(twin, b)
+        check_product(a, twin)
+        reordered = NcSeries(dict(rng.sample(list(a.coeffs.items()), len(a.coeffs))), a.depth)
+        check_product(reordered, reordered)
+        check_product(reordered, a)
+        check_invert(reordered)
+        # the same words on a distinct support object, as after the intern
+        # cache lets a support go
+        transport_mod._intern.cache_clear()
+        shifted = NcSeries({w: v + rng.uniform(-1, 1) for w, v in a.coeffs.items()}, a.depth)
+        assert shifted.support is not a.support
+        for x, y in ((a, shifted), (shifted, a), (a, b), (ab, c)):
+            px, py = plain(x), plain(y)
+            want = max((abs(px[w] - py[w]) for w in px.keys() & py.keys()), default=math.inf)
+            # numpy's and Python's complex abs may differ in the last bit
+            assert x.max_abs_diff(y) == pytest.approx(want, rel=1e-15)
 
     def test_invert_needs_constant_term(self):
         with pytest.raises(ConfigError):
@@ -205,6 +261,16 @@ class TestTransportKnownValues:
         assert abs(series.coefficient(word(0, 1)) + LI2_06) < 1e-13
         assert abs(series.coefficient(word(0, 0, 1)) + LI3_06) < 1e-13
         assert abs(series.coefficient(word(1)) - math.log(0.4)) < 1e-13
+
+    def test_support_without_tails_is_a_config_error(self, sphere01):
+        # a nested solve integrates a word's tail first, so the tail must be
+        # in the support; a missing one is named, not a bare KeyError
+        _, b = sphere01
+        seg = LineSegment(0.2, 0.6)
+        with pytest.raises(ConfigError, match=r"Word\(0,1\) but not its tail Word\(1\)"):
+            segment_transport(b, seg, [word(0, 1)])
+        with pytest.raises(ConfigError, match=r"tail Word\(1,0\)"):
+            segment_transport(b, seg, factor_closure([word(0, 1)]), zero_words=[word(0, 1, 0)])
 
     def test_loop_depth_one(self, sphere01):
         s, b = sphere01
