@@ -68,16 +68,6 @@ _CONFIG_ERRORS = (
 )
 _NUMERIC_ERRORS = (ConventionError, FitError, PoleProximityError, ToleranceError)
 
-_SUITES = (
-    "shuffle",
-    "fay",
-    "structure",
-    "homotopy",
-    "variation",
-    "monodromy",
-    "associator",
-)
-
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -232,7 +222,7 @@ def _default_pair(genus: int, depth: int | None) -> tuple[int, int, int]:
     return 2, 1, 2 if depth is None else depth
 
 
-def _suite_shuffle(rng, genus, tau, tol):
+def _suite_shuffle(rng, genus, tau, depth, tol):
     tol = 1e-10 if tol is None else tol
     basis = _default_basis(genus, tau)
     path = _default_path(genus)
@@ -259,7 +249,7 @@ def _suite_shuffle(rng, genus, tau, tol):
     return cases
 
 
-def _suite_fay(rng, tau, tol):
+def _suite_fay(rng, genus, tau, depth, tol):
     tol = 1e-8 if tol is None else tol
     params = ThetaParams(tau)
     draws = []
@@ -281,7 +271,7 @@ def _suite_fay(rng, tau, tol):
     ]
 
 
-def _suite_structure(rng, tau, tol):
+def _suite_structure(rng, genus, tau, depth, tol):
     tol = 1e-8 if tol is None else tol
     cases = []
     for t in range(2):
@@ -303,7 +293,7 @@ def _suite_structure(rng, tau, tol):
     return cases
 
 
-def _suite_homotopy(genus, tau, depth, tol):
+def _suite_homotopy(rng, genus, tau, depth, tol):
     tol = 1e-9 if tol is None else tol
     depth = 3 if depth is None else depth
     basis = _default_basis(genus, tau)
@@ -325,7 +315,7 @@ def _suite_homotopy(genus, tau, depth, tol):
     return cases
 
 
-def _suite_variation(rng, genus, tau, tol):
+def _suite_variation(rng, genus, tau, depth, tol):
     tol = 1e-4 if tol is None else tol
     if genus == 0:
         reqs = [random_sphere_request(rng) for _ in range(3)]
@@ -344,7 +334,7 @@ def _suite_variation(rng, genus, tau, tol):
     return [one(m, req) for m, req in enumerate(reqs)]
 
 
-def _suite_monodromy(genus, tau, depth, tol):
+def _suite_monodromy(rng, genus, tau, depth, tol):
     basis = _default_basis(genus, tau)
     pts = basis.surface.punctures
     i, j, depth = _default_pair(genus, depth)
@@ -381,7 +371,7 @@ def _suite_monodromy(genus, tau, depth, tol):
     ]
 
 
-def _suite_associator(genus, tau, depth, tol):
+def _suite_associator(rng, genus, tau, depth, tol):
     tol = 1e-6 if tol is None else tol
     basis = _default_basis(genus, tau)
     i, j, depth = _default_pair(genus, depth)
@@ -400,6 +390,18 @@ def _suite_associator(genus, tau, depth, tol):
     return cases + [one(w) for w in words]
 
 
+# every suite is called as suite(rng, genus, tau, depth, tol) and returns its cases
+_SUITES = {
+    "shuffle": _suite_shuffle,
+    "fay": _suite_fay,
+    "structure": _suite_structure,
+    "homotopy": _suite_homotopy,
+    "variation": _suite_variation,
+    "monodromy": _suite_monodromy,
+    "associator": _suite_associator,
+}
+
+
 def _cmd_check(args) -> tuple[dict, bool]:
     cfg = _load_config(args.config) if args.config else {}
     suite = args.suite
@@ -413,23 +415,7 @@ def _cmd_check(args) -> tuple[dict, bool]:
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     depth = args.depth if args.depth is not None else cfg.get("depth")
     tol = args.tol if args.tol is not None else cfg.get("tol")
-    rng = random.Random(seed)
-
-    if suite == "shuffle":
-        cases = _suite_shuffle(rng, genus, tau, tol)
-    elif suite == "fay":
-        cases = _suite_fay(rng, tau, tol)
-    elif suite == "structure":
-        cases = _suite_structure(rng, tau, tol)
-    elif suite == "homotopy":
-        cases = _suite_homotopy(genus, tau, depth, tol)
-    elif suite == "variation":
-        cases = _suite_variation(rng, genus, tau, tol)
-    elif suite == "monodromy":
-        cases = _suite_monodromy(genus, tau, depth, tol)
-    else:
-        cases = _suite_associator(genus, tau, depth, tol)
-
+    cases = _SUITES[suite](random.Random(seed), genus, tau, depth, tol)
     for c in cases:
         c["pass"] = bool(c["residual"] < c["tol"])
     ok = all(c["pass"] for c in cases)

@@ -408,7 +408,7 @@ class RegularizedTransport:
             row = self._plan.support.position.get(wd)
             if row is None:
                 raise MissingLabelError(f"word {wd} was not part of the transported set")
-            total += c * values[row]
+            total += c * values.item(row)
         return total
 
     def series(self) -> NcSeries:

@@ -9,16 +9,23 @@ representatives in C).  The basis is dz plus n-1 difference forms
 dlog theta(z - P_k1) - dlog theta(z - P_k2) with residue +1 at P_k1 and -1 at
 P_k2, built from the odd Jacobi theta function
 
-    theta11(z) = sum_n exp(pi*i*(n+1/2)^2*tau + 2*pi*i*(n+1/2)*(z+1/2))
-               = -2 sum_{n>=0} (-1)^n q^((n+1/2)^2) sin((2n+1)*pi*z),  q = exp(pi*i*tau),
+    theta11(z|tau) = sum_n exp(pi*i*(n+1/2)^2*tau + 2*pi*i*(n+1/2)*(z+1/2))
+                   = -2 sum_{n>=0} (-1)^n q^((n+1/2)^2) sin((2n+1)*pi*z),  q = exp(pi*i*tau),
 
 the second line pairing the terms n and -1-n of the first.  Every sine is
 O(z) where theta11 is, so theta11'/theta11 keeps its relative accuracy up to
 the pole and needs no separate treatment there.
 
-Every genus-1 value reads from one array evaluator: ``_reduce``, exact
-``lattice_distance``, ``_theta_derivatives`` (the paired sum) and
-``_log_theta``.
+The sum only ever runs at the reduced modulus t of ``_lattice_basis``, where
+Z + tau*Z = a*(Z + t*Z) and Im t >= sqrt(3)/2, over a fixed 7 pairs; theta11's
+modular transformation (DLMF 20.7(viii)) carries each value back to tau.  So
+the sum's conditioning does not grow as Im(tau) shrinks.  Every tau whose
+reduced Im t is at most 382 is supported; the others lie close to a cusp
+(tau = iy with y < 1/382, say) and raise ConfigError.
+
+Every genus-1 value reads from one array evaluator: ``_reduce`` in the basis
+(1, t), exact ``lattice_distance``, ``_theta_derivatives`` (the paired sum)
+and ``_log_theta``.
 Every question of which lattice copy of a puncture is near, at a point or
 along a segment, is answered here from the reduced basis ``_lattice_basis``.
 """
@@ -28,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -56,59 +64,85 @@ def complex_from_json(data) -> complex:
     return complex(float(re), float(im))
 
 
-_TAIL_BOUND = 1e-16
+_PAIRS = 7
 _THETA_GUARD = 1e-13
 _THETA_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
 class ThetaParams:
-    """Modulus and series truncation for theta11 evaluation.
+    """Modulus tau of theta11 and the reduced modulus its sums run at.
 
-    ``truncation`` is the number N of sine pairs (n = 0..N-1), derived from
-    tau: enough that the largest dropped term is below ``_TAIL_BOUND`` for
-    arguments reduced to the fundamental cell, and few enough that no sine
-    there overflows.
+    Every theta quantity is summed at t from ``_lattice_basis``, where
+    Z + tau*Z = a*(Z + t*Z), a = c*tau + d and Im t >= sqrt(3)/2, and read
+    back through theta11's modular transformation (DLMF 20.7(viii)):
+    theta11(z|tau) = K exp(-pi*i*c*z^2/a) theta11(z/a|t).
+
+    ``truncation`` is the number N of sine pairs (n = 0..N-1), 7 wherever
+    Im t <= 29.4.  For arguments reduced to the fundamental cell pair n is
+    below exp(-pi*Im(t)*((n+1/2)^2 - (n+1/2))), under 1e-57 from n = 7 on.
+    The last sine grows to exp((2N-1)*pi*Im(t)/2), kept below exp(600) so
+    that none overflows; that cap shrinks N for Im t > 29.4, where every
+    term it drops is below exp(-81), and rejects Im t > 382: tau close to a
+    cusp, such as 1e-12i, which reduces to t = 1e12i.
     """
 
     tau: complex
+    a: complex = field(init=False)
+    t: complex = field(init=False)
+    c: int = field(init=False)
     truncation: int = field(init=False)
 
     def __post_init__(self) -> None:
         tau = complex(self.tau)
-        object.__setattr__(self, "tau", tau)
-        if tau.imag <= 0:
-            raise ConfigError(f"theta modulus needs Im(tau) > 0, got {tau}")
-        object.__setattr__(self, "truncation", self._auto_truncation())
-
-    def _auto_truncation(self) -> int:
-        # Dropped term with |Im z| <= Im(tau)/2 is bounded by
-        # exp(-pi*Im(tau)*(q^2 - q)), q = N - 1/2.  The last sine grows to
-        # exp((2N-1)*pi*Im(tau)/2), kept below exp(600) so that none
-        # overflows; that cap binds only for Im(tau) > 34.7, where every
-        # term it drops is below exp(-81).
-        y = self.tau.imag
-        most = int((1200.0 / (math.pi * y) + 1.0) / 2.0)
+        a, t = _lattice_basis(tau)
+        most = int((1200.0 / (math.pi * t.imag) + 1.0) / 2.0)
         if most < 1:
-            raise ConfigError(f"Im(tau) = {y} too large for reliable theta series")
-        for n in range(4, 201):
-            q = n - 0.5
-            if math.exp(-math.pi * y * (q * q - q)) < _TAIL_BOUND * 1e-2:
-                return min(n + 2, most)
-        raise ConfigError(f"Im(tau) = {y} too small for reliable theta series")
+            raise ConfigError(
+                f"Im(t) too large for reliable theta series at the reduced modulus "
+                f"t = {t} of tau = {tau}"
+            )
+        derived = (tau, a, t, round(a.imag / tau.imag), min(_PAIRS, most))
+        for name, value in zip(("tau", "a", "t", "c", "truncation"), derived):
+            object.__setattr__(self, name, value)
 
 
 @lru_cache(maxsize=_THETA_CACHE_SIZE)
 def _pair_terms(p: ThetaParams) -> tuple[np.ndarray, np.ndarray]:
-    """(k, c) with theta11^(d)(z) = sum_n c[d, n] * (sin, cos)[d % 2](k_n z)
+    """(k, c) with theta11^(d)(u|t) = sum_n c[d, n] * (sin, cos)[d % 2](k_n u)
     for d = 0..3: k_n = (2n+1) pi and c[d] = (-1)^(d//2) k^d w, where
-    w_n = -2 (-1)^n q^((n+1/2)^2), n = 0..truncation-1."""
+    w_n = -2 (-1)^n q^((n+1/2)^2), q = exp(pi*i*t), n = 0..truncation-1."""
     n = np.arange(p.truncation)
     k = (2 * n + 1) * math.pi
-    w = -2.0 * (-1.0) ** n * np.exp(1j * math.pi * p.tau * (n + 0.5) ** 2)
+    w = -2.0 * (-1.0) ** n * np.exp(1j * math.pi * p.t * (n + 0.5) ** 2)
     c = np.array([w, w * k, -w * k * k, -w * k * k * k])
     k.flags.writeable = c.flags.writeable = False  # shared by every caller
     return k, c
+
+
+def _dedekind_sum(d: int, c: int) -> Fraction:
+    """s(d, c) for coprime c > 0, by reciprocity:
+    s(d, c) + s(c, d) = (d/c + c/d + 1/(c*d))/12 - 1/4."""
+    total, sign, d = Fraction(0), 1, d % c
+    while d:
+        total += sign * (Fraction(d * d + c * c + 1, 12 * c * d) - Fraction(1, 4))
+        sign, c, d = -sign, d, c % d
+    return total
+
+
+def _modular_factor(p: ThetaParams) -> complex:
+    """K in theta11(z|tau) = K exp(-pi*i*c*z^2/a) theta11(z/a|t): with
+    [[alpha, beta], [c, d]] taking tau to t, K = exp(-pi*i*beta/4) for c = 0
+    and K = a / (eps^3 (-i*a)^(3/2)) for c > 0, where
+    eps = exp(pi*i*((alpha + d)/(12c) - s(d, c))) is Dedekind eta's multiplier."""
+    tau, a, t, c = p.tau, p.a, p.t, p.c
+    alpha = round((t * a).imag / tau.imag)
+    beta = round((t * a - alpha * tau).real)
+    if c == 0:
+        return cmath.exp(-0.25j * math.pi * beta)
+    d = round((a - c * tau).real)
+    phase = 3 * (Fraction(alpha + d, 12 * c) - _dedekind_sum(d, c)) % 2
+    return a / (cmath.exp(1j * math.pi * float(phase)) * (-1j * a) ** 1.5)
 
 
 def _like(z, values: np.ndarray):
@@ -119,39 +153,46 @@ def _like(z, values: np.ndarray):
 
 
 @lru_cache(maxsize=_THETA_CACHE_SIZE)
-def _lattice_basis(tau: complex) -> tuple[complex, np.ndarray]:
-    """(a, [-t, 0, t]) with Z + tau*Z = a*(Z + t*Z), |Re t| <= 1/2 and |t| >= 1
+def _lattice_basis(tau: complex) -> tuple[complex, complex]:
+    """(a, t) with Z + tau*Z = a*(Z + t*Z), |Re t| <= 1/2 and |t| >= 1
     (Lagrange's reduction), so Im t >= sqrt(3)/2 at every tau.  The 1e-9
-    margin keeps rounding from flipping a tie |Re t| = 1/2 back and forth."""
+    margin keeps rounding from flipping a tie |Re t| = 1/2 back and forth.
+
+    t = (alpha*tau + beta)/(c*tau + d) and a = c*tau + d for some
+    [[alpha, beta], [c, d]] in SL2(Z), signed so that c > 0, or c = 0 and
+    d = 1 (then a = 1 and t = tau + beta)."""
     if not (cmath.isfinite(tau) and tau.imag > 0):
         raise ConfigError(f"lattice Z + tau*Z needs a finite tau with Im(tau) > 0, got {tau}")
     a, b = 1 + 0j, tau
     while abs(b) < abs(a) or abs((b / a).real) > 0.5 + 1e-9:
         a, b = (b, a) if abs(b) < abs(a) else (a, b - round((b / a).real) * a)
     t = b / a if (b / a).imag > 0 else -b / a
-    return a, np.array([-t, 0.0, t])
+    c = round(a.imag / tau.imag)
+    return (-a if c < 0 or (c == 0 and a.real < 0) else a), t
 
 
-def _reduce(z: np.ndarray, tau: complex):
-    """z = z0 + m + k*tau elementwise, with z0 in the fundamental cell around 0."""
-    k = np.rint(z.imag / tau.imag)
-    rest = z - k * tau
+def _reduce(u: np.ndarray, t: complex):
+    """u = u0 + m + k*t elementwise, with u0 in the fundamental cell of
+    Z + t*Z around 0."""
+    k = np.rint(u.imag / t.imag)
+    rest = u - k * t
     m = np.rint(rest.real)
     return rest - m, m, k
 
 
-def lattice_distance(z, tau: complex):
-    """Exact distance from z (a number or an array) to the lattice Z + tau*Z.
+def _cell_distance(u0: np.ndarray, t: complex) -> np.ndarray:
+    """Exact distance from the reduced u0 to Z + t*Z: the nearest lattice
+    point lies in row -1, 0 or 1, at the nearest integer of that row."""
+    near = u0[..., None] - np.array([-t, 0.0, t])
+    return np.abs(near - np.rint(near.real)).min(axis=-1)
 
-    In the reduced basis a*(1, t), with the argument moved into the strip
-    |Im| <= Im(t)/2, the nearest lattice point lies in row -1, 0 or 1, at
-    the nearest integer of that row.
-    """
-    a, rows = _lattice_basis(complex(tau))
-    w = np.asarray(z, dtype=complex) / a
-    w = w - np.rint(w.imag / rows[2].imag) * rows[2]
-    near = w[..., None] - rows
-    return _like(z, abs(a) * np.abs(near - np.rint(near.real)).min(axis=-1))
+
+def lattice_distance(z, tau: complex):
+    """Exact distance from z (a number or an array) to the lattice Z + tau*Z,
+    read in the reduced basis a*(1, t)."""
+    a, t = _lattice_basis(complex(tau))
+    u0 = _reduce(np.asarray(z, dtype=complex) / a, t)[0]
+    return _like(z, abs(a) * _cell_distance(u0, t))
 
 
 def _segment_distances(surface: "SurfaceConfig", seg: Segment) -> np.ndarray:
@@ -170,8 +211,7 @@ def _segment_distances(surface: "SurfaceConfig", seg: Segment) -> np.ndarray:
     if surface.genus == 0:
         return segment_min_distance(seg, poles)
     c = seg.point(0.5)
-    a, rows = _lattice_basis(surface.tau)
-    t = rows[2]
+    a, t = _lattice_basis(surface.tau)
     # in units of a: copies m + n*t of a puncture within r of w = (c - P)/a
     w = (c - poles) / a
     r = 0.5 * (seg.length / abs(a) + math.hypot(1.0, t.imag))
@@ -183,10 +223,10 @@ def _segment_distances(surface: "SurfaceConfig", seg: Segment) -> np.ndarray:
 
 
 def _theta_derivatives(z0: np.ndarray, p: ThetaParams, order: int) -> np.ndarray:
-    """Rows 0..order (order <= 3): theta11 and its derivatives at the reduced
-    1-d z0, from one sine and one cosine over the (points x pairs) grid.  Each
-    point sums its own terms, so no value depends on the others (a BLAS
-    product's would)."""
+    """Rows 0..order (order <= 3): theta11( . |t) and its derivatives at the
+    reduced 1-d z0, from one sine and one cosine over the (points x pairs)
+    grid.  Each point sums its own terms, so no value depends on the others
+    (a BLAS product's would)."""
     k, c = _pair_terms(p)
     x = z0[:, None] * k
     waves = (np.sin(x), np.cos(x))
@@ -205,23 +245,32 @@ def _check_poles(dist: np.ndarray, limits: np.ndarray, w: np.ndarray, names) -> 
 def _log_theta(w: np.ndarray, p: ThetaParams, order: int = 1, guard=_THETA_GUARD, names=None):
     """Log-derivatives 1..order (order 1 or 2) of theta11 at every entry of
     the 2-d ``w``, one array each, behind the pole guard: ``guard`` is a
-    number or one per row, ``names`` names each row's pole."""
+    number or one per row, ``names`` names each row's pole.
+
+    With u = w/a = u0 + m + k*t, dlog theta(w|tau) is
+    (dlog theta(u0|t) - 2*pi*i*k)/a - 2*pi*i*c*u, and d2log theta(w|tau) is
+    d2log theta(u0|t)/a^2 - 2*pi*i*c/a."""
     limits = np.full(len(w), guard) if np.ndim(guard) == 0 else guard
-    _check_poles(lattice_distance(w, p.tau), limits, w, names or ["a lattice point"] * len(w))
-    z0, _, k = _reduce(w, p.tau)
-    th = _theta_derivatives(z0.ravel(), p, order).reshape((order + 1,) + w.shape)
+    u = w / p.a
+    u0, _, k = _reduce(u, p.t)
+    dist = abs(p.a) * _cell_distance(u0, p.t)
+    _check_poles(dist, limits, w, names or ["a lattice point"] * len(w))
+    th = _theta_derivatives(u0.ravel(), p, order).reshape((order + 1,) + w.shape)
     ratio = th[1] / th[0]
+    first = (ratio - TWO_PI_I * k) / p.a - TWO_PI_I * p.c * u
     if order == 1:
-        return (ratio - TWO_PI_I * k,)
-    return ratio - TWO_PI_I * k, th[2] / th[0] - ratio * ratio
+        return (first,)
+    return first, (th[2] / th[0] - ratio * ratio) / p.a**2 - TWO_PI_I * p.c / p.a
 
 
 def theta11(z, p: ThetaParams):
     """Odd Jacobi theta function with characteristic (1/2, 1/2)."""
-    z0, m, k = _reduce(np.ravel(np.asarray(z, dtype=complex)), p.tau)
-    th = _theta_derivatives(z0, p, 0)[0]
+    u = np.ravel(np.asarray(z, dtype=complex)) / p.a
+    u0, m, k = _reduce(u, p.t)
+    th = _theta_derivatives(u0, p, 0)[0]
     sign = np.where((m + k) % 2, -1.0, 1.0)
-    return _like(z, sign * np.exp(-1j * math.pi * p.tau * k * k - TWO_PI_I * k * z0) * th)
+    gauss = np.exp(-1j * math.pi * (p.t * k * k + p.c * p.a * u * u) - TWO_PI_I * k * u0)
+    return _like(z, _modular_factor(p) * sign * gauss * th)
 
 
 def dlog_theta(z, p: ThetaParams):
@@ -236,9 +285,10 @@ def d2log_theta(z, p: ThetaParams):
 
 
 def theta_c(p: ThetaParams) -> complex:
-    """theta11'''(0)/theta11'(0), the constant appearing in the Fay identity."""
+    """theta11'''(0)/theta11'(0), the constant appearing in the Fay identity:
+    theta_c(t)/a^2 - 6*pi*i*c/a at the reduced modulus."""
     c = _pair_terms(p)[1]
-    return complex(c[3].sum() / c[1].sum())
+    return complex(c[3].sum() / c[1].sum() / p.a**2 - 3 * TWO_PI_I * p.c / p.a)
 
 
 @dataclass(frozen=True)

@@ -202,19 +202,20 @@ class TestCheck:
         assert "draws at tau" in capsys.readouterr().err
 
     def test_tiny_im_tau_exits_2(self, tmp_path, capsys):
-        # the theta series rejects the modulus; the lattice reduction before
-        # it stays cheap at any Im(tau)
+        # 1e-12i reduces to t = 1e12i, which the theta series rejects; the
+        # lattice reduction before it stays cheap at any Im(tau)
         start = time.perf_counter()
         assert main(["check", "fay", "--tau", "1e-12i"]) == 2
-        assert "too small" in capsys.readouterr().err
+        assert "too large" in capsys.readouterr().err
         basis = {"genus": 1, "punctures": [[0, 0], [0.5, 0]], "tau": [0, 1e-12]}
         segment = {"type": "line", "start": [0.1, 0.1], "end": [0.2, 0.1]}
         job = {"basis": basis, "path": {"segments": [segment]}, "words": [[0]]}
         assert main(["polylog", "--config", write_config(tmp_path, "job.json", job)]) == 2
-        assert "too small" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "reduced modulus t = " in err and "1000000000000j" in err
         assert time.perf_counter() - start < 5.0
 
-    @pytest.mark.parametrize("tau", ["0.15i", "0.1i"])
+    @pytest.mark.parametrize("tau", ["0.15i", "0.1i", "0.07i", "0.05i"])
     def test_small_im_tau_associator_passes(self, tmp_path, tau):
         out = tmp_path / "rep.json"
         assert main(["check", "associator", "--genus", "1", "--tau", tau, "--out", str(out)]) == 0

@@ -245,6 +245,14 @@ class TestRegIterated:
         assert abs(rt.value(gw) - want) < 1e-15
         assert rt.value(word()) == 1.0
 
+    def test_values_are_python_complex(self, sphere01):
+        _, b = sphere01
+        p = line_path(0.0, 0.5)
+        rt = RegularizedTransport.along(p, b, words=[word(0, 1), word(1)], puncture=0)
+        for w in (word(0, 1), GeneralizedWord({word(0, 1): 2.0, word(1): -1j}), word()):
+            assert type(rt.value(w)) is complex, w
+        assert type(reg_iterated(p, word(0, 1), b)) is complex
+
     def test_unrequested_word_raises(self, sphere01):
         _, b = sphere01
         rt = RegularizedTransport.along(
@@ -372,25 +380,28 @@ class TestAsymptotic:
             mzv(b, 1, 0, word(0, 1))
 
     def test_small_im_tau_rungs_stay_cheap(self, monkeypatch):
-        # near the target puncture dlog theta keeps its relative accuracy, so
-        # a rung's bisection accepts at its first split even at tau = 0.15i
-        s = SurfaceConfig(1, (0.0, 0.45, 0.25 + 0.35j), tau=0.15j)
-        p_i, p_j = s.punctures[2], s.punctures[1]
-        gaps = []
-        solve = transport_mod._solve_segment
+        # near the target puncture dlog theta keeps its relative accuracy, and
+        # at small Im(tau) its sum runs at the reduced modulus, so a rung's
+        # bisection accepts at its first split down to tau = 0.05i
+        for tau in (0.15j, 0.05j):
+            s = SurfaceConfig(1, (0.0, 0.45, 0.25 + 0.35j), tau=tau)
+            p_i, p_j = s.punctures[2], s.punctures[1]
+            gaps = []
+            solve = transport_mod._solve_segment
 
-        def counting_solve(basis, seg, words, exempt):
-            gaps.append(abs(seg.point(0.5) - p_i))
-            return solve(basis, seg, words, exempt)
+            def counting_solve(basis, seg, words, exempt):
+                gaps.append(abs(seg.point(0.5) - p_i))
+                return solve(basis, seg, words, exempt)
 
-        monkeypatch.setattr(transport_mod, "_solve_segment", counting_solve)
-        mzv(FormBasis.genus1(s), 2, 1, word(2, 1))
-        # rung m runs from radius r0 2^-m to the next one, toward P_i
-        r0 = 0.05 * abs(p_j - p_i)
-        radii = [r0 * 2.0 ** -m for m in range(13)] + [r0 * 2.0 ** -12.5]
-        per_rung = [sum(lo < g < hi for g in gaps) for hi, lo in zip(radii, radii[1:])]
-        assert min(per_rung) >= 3, per_rung
-        assert max(per_rung) <= 5, per_rung
+            monkeypatch.setattr(transport_mod, "_solve_segment", counting_solve)
+            mzv(FormBasis.genus1(s), 2, 1, word(2, 1))
+            monkeypatch.undo()
+            # rung m runs from radius r0 2^-m to the next one, toward P_i
+            r0 = 0.05 * abs(p_j - p_i)
+            radii = [r0 * 2.0 ** -m for m in range(13)] + [r0 * 2.0 ** -12.5]
+            per_rung = [sum(lo < g < hi for g in gaps) for hi, lo in zip(radii, radii[1:])]
+            assert min(per_rung) >= 3, (tau, per_rung)
+            assert max(per_rung) <= 5, (tau, per_rung)
 
     def test_same_puncture_rejected(self, sphere01):
         _, b = sphere01

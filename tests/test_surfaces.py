@@ -39,10 +39,15 @@ from iterint.surfaces import (
 TAUS = (1j, 0.5 + 1j)
 
 
-def mp_theta(z, tau):
-    """Independent reference: theta11(z) = -jtheta1(pi z, q), q = exp(pi i tau)."""
-    q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
-    return -complex(mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), q))
+def mp_theta(z, tau, dps=30):
+    """Independent reference: theta11(z) = -jtheta1(pi z, q), q = exp(pi i tau).
+    jtheta1 carries mpmath's principal q^(1/4), which differs from theta11's
+    exp(pi i tau/4) by a power of i once |Re tau| >= 1; the factor undoes it."""
+    with mpmath.workdps(dps):
+        tau = mpmath.mpc(tau)
+        q = mpmath.exp(1j * mpmath.pi * tau)
+        branch = mpmath.exp(1j * mpmath.pi * tau / 4) / mpmath.power(q, 0.25)
+        return -complex(branch * mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), q))
 
 
 def mp_log_derivatives(z, tau, dps=30):
@@ -62,6 +67,17 @@ class TestTheta:
             for z in (0.31 + 0.17j, -0.2 + 0.05j, 0.45, 1.7 - 2.3j):
                 ref = mp_theta(z, tau)
                 assert abs(theta11(z, p) - ref) < 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("tau", (0.15j, 0.05j, 0.45 + 0.05j, 2.5 + 0.3j, -1.7 + 0.04j))
+    def test_matches_reference_at_reduced_tau(self, tau):
+        # a != 1 at each modulus, so the sum runs at t != tau and the factor
+        # K exp(-pi i c z^2/a) of the modular transformation is what is pinned.
+        # z/a lies cells away from 0 in the basis (1, t) at 0.8-0.6i
+        p = ThetaParams(tau)
+        assert p.a != 1
+        for z in (0.31 + 0.17j, -0.2 + 0.05j, 0.45, 0.8 - 0.6j):
+            ref = mp_theta(z, tau)
+            assert abs(theta11(z, p) - ref) <= 1e-13 * abs(ref), z
 
     def test_frozen_value(self):
         p = ThetaParams(1j)
@@ -154,14 +170,16 @@ class TestTheta:
     def test_theta_c(self):
         # square lattice: theta'''(0)/theta'(0) = -3*pi
         assert abs(theta_c(ThetaParams(1j)) + 3 * math.pi) < 1e-12
-        for tau in TAUS:
-            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
-            ref = complex(
-                mpmath.pi ** 2
-                * mpmath.jtheta(1, 0, q, derivative=3)
-                / mpmath.jtheta(1, 0, q, derivative=1)
-            )
-            assert abs(theta_c(ThetaParams(tau)) - ref) < 1e-12
+        # a != 1 from 0.3+0.92i on: there the term -6 pi i c/a is pinned too
+        for tau in TAUS + (0.3 + 0.92j, 0.15j, 0.45 + 0.05j):
+            with mpmath.workdps(30):
+                q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+                ref = complex(
+                    mpmath.pi ** 2
+                    * mpmath.jtheta(1, 0, q, derivative=3)
+                    / mpmath.jtheta(1, 0, q, derivative=1)
+                )
+            assert abs(theta_c(ThetaParams(tau)) - ref) < 1e-14 * abs(ref), tau
 
     def test_pole_guard(self):
         p = ThetaParams(1j)
@@ -170,19 +188,35 @@ class TestTheta:
         with pytest.raises(ConfigError):
             ThetaParams(0.5)  # real modulus
 
-    @pytest.mark.parametrize("tau", (1j, 0.3j, 0.15j, 0.1j, 0.4 + 0.8j))
+    @pytest.mark.parametrize(
+        "tau", (1j, 0.3j, 0.15j, 0.1j, 0.07j, 0.05j, 0.45 + 0.05j, 0.4 + 0.8j)
+    )
     def test_dlog_near_pole_matches_mpmath(self, tau):
         # relative accuracy up to the pole: the paired sines carry no O(1)
-        # terms that cancel where theta is O(w).  What is left is the sum's
-        # own conditioning, sum|w_n k_n| / |sum w_n k_n|: 24 at 0.15i and
-        # 266 at 0.1i, where it costs one more digit.
-        bound = 1e-13 if tau == 0.1j else 1e-14
+        # terms that cancel where theta is O(w), and the sum runs at the
+        # reduced modulus, so its conditioning does not grow as Im(tau) shrinks
         p = ThetaParams(tau)
         for r in (1e-6, 1e-4, 1e-2):
             for direction in (1, 1j, -1, cmath.exp(0.7j), cmath.exp(-2.1j), cmath.exp(2.9j)):
                 w = r * direction
                 want = mp_log_derivatives(w, tau, dps=40)[0]
-                assert abs(dlog_theta(w, p) - want) <= bound * abs(want), w
+                assert abs(dlog_theta(w, p) - want) <= 1e-14 * abs(want), w
+
+    @pytest.mark.parametrize(
+        "tau", (1j, 0.5 + 1j, 0.3 + 0.92j, 0.15j, 0.05j, 0.45 + 0.05j, -1.7 + 0.04j)
+    )
+    def test_dlog_modular_transformations(self, tau):
+        # dlog theta(z|tau) = dlog theta(z|tau+1)
+        #                   = dlog theta(z/tau | -1/tau)/tau - 2 pi i z/tau,
+        # at moduli inside and outside the fundamental domain
+        rng = np.random.default_rng(13)
+        p, shifted, inverted = ThetaParams(tau), ThetaParams(tau + 1), ThetaParams(-1 / tau)
+        z = rng.uniform(-1, 1, 60) + 1j * rng.uniform(-1, 1, 60)
+        z = z[lattice_distance(z, tau) > 0.05 * abs(tau)]
+        want = dlog_theta(z, p)
+        assert np.all(np.abs(dlog_theta(z, shifted) - want) <= 1e-13 * np.abs(want))
+        got = dlog_theta(z / tau, inverted) / tau - 2j * math.pi * z / tau
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_large_im_tau(self):
         # the sines stay finite: the truncation shrinks where Im(tau) is large
@@ -247,8 +281,9 @@ class TestSurfaceConfig:
         # Z + 1e-12i Z is dense along the lines Re z in Z; three rows still suffice
         z = np.array([0.3 + 0.2j, -0.45 + 7j, 2.05 - 1j])
         assert np.allclose(lattice_distance(z, 1e-12j), [0.3, 0.45, 0.05], atol=1e-12)
+        # 1e-12i reduces to t = 1e12i, past the theta series' overflow cap
         s = SurfaceConfig(1, (0, 0.5, 0.25 + 0.1j), tau=1e-12j)
-        with pytest.raises(ConfigError, match="too small"):
+        with pytest.raises(ConfigError, match="too large .* reduced modulus t"):
             FormBasis.genus1(s)
         with pytest.raises(ConfigError):
             lattice_distance(0.1, 0.5)
