@@ -41,6 +41,7 @@ from .surfaces import (
     FormBasis,
     SurfaceConfig,
     ThetaParams,
+    _copies_inside,
     basis_from_json,
     complex_to_json,
     fay_residual,
@@ -300,6 +301,16 @@ def _suite_homotopy(rng, genus, tau, depth, tol):
     straight = _default_path(genus)
     a, b = straight.start, straight.end
     mids = (0.5 - 1.1j, 0.2 - 0.8j) if genus == 0 else (0.3 - 0.32j, 0.5 - 0.38j)
+    # a detour is homotopic to the straight path only when the triangle
+    # between them holds no copy of a puncture
+    for m, mid in enumerate(mids):
+        enclosed = _copies_inside(basis.surface, (a, mid, b))
+        if enclosed:
+            p, copy = enclosed[0]
+            raise ConfigError(
+                f"detour-{m} through {mid} is not homotopic to the straight path at "
+                f"tau = {tau}: it encloses {copy:.6g}, a copy of puncture {p}"
+            )
     ref = transport_series(straight, basis, depth=depth)
     cases = []
     for m, mid in enumerate(mids):

@@ -4,20 +4,21 @@ A path that starts on a puncture has divergent iterated integrals whenever
 the innermost form is the one with a pole there.  The finite part kept here
 is the epsilon-limit of the integral from a point at distance epsilon after
 subtracting a_k log(epsilon); words are reduced to that single scalar by the
-shuffle decomposition, so the state of a regularized transport is the pair
+shuffle decomposition.  On the segment that starts at the puncture
 
-    (V, lam):  V  transports the words not ending in the distinguished
-               letter (their innermost integrals converge),
-    lam        is the regularized line integral of the distinguished form,
+    V    transports the words not ending in the distinguished letter
+         (their innermost integrals converge),
+    lam  is the regularized line integral of the distinguished form,
 
-and any requested word assembles as  sum_i lam^i/i! * V[w(i)].  A request
-is compiled once per distinguished letter into an assembly plan (memoized in
-a bounded cache; a ``depth=`` request finds it by alphabet size, depth and
+and every word assembles as  sum_i lam^i/i! * V[w(i)].  A request is
+compiled once per distinguished letter into an assembly plan (memoized in a
+bounded cache; a ``depth=`` request finds it by alphabet size, depth and
 letter): the solve plan of V's set, used at the start, and of the
-factor-closed set transported after it, the support of the assembled
-series, and every requested word's decomposition as flat (word, power,
-column of V, multiplicity) arrays.  Assembly is then one gather from V and
-one fixed-order sum per word.
+factor-closed set transported after it, the support of the assembled series
+(the requested words and their tails), and every word's decomposition as
+flat (word, power, column of V, multiplicity) arrays.  Assembly is one
+gather from V and one fixed-order sum per word; later segments multiply the
+assembled series by their transports.
 
 Limits toward a second puncture are taken on a geometric radius ladder: the
 values carry powers of log r whose coefficients are recovered by weighted
@@ -67,6 +68,7 @@ from .transport import (
     _SolvePlan,
     _Support,
     _adaptive_segment,
+    _check_tol,
     _intern,
     _solve_plan,
     _transport_segment,
@@ -187,6 +189,7 @@ def reg_line_integral(
     """
     if not 0 <= k < basis.n_forms:
         raise ConfigError(f"form label {k} out of range")
+    _check_tol(tol)  # a form with no analytic remainder runs no quadrature
     j = _puncture_at(basis, path.start, path.reg_start)
     res = basis.residue(k, j)
     integrand = _subtracted_integrand(basis, k, j)
@@ -219,22 +222,20 @@ def reg_line_integral(
 class _AssemblyPlan:
     """A request compiled for assembly at one distinguished letter.
 
-    ``v_plan`` solves the tail closure of the decomposition's parts (none of
-    which ends in the letter), the set the start piece is solved on;
-    ``full_plan`` the factor closure of the requested words, the parts and
-    the letter itself (``letter``).  ``support`` holds the requested words,
-    then the empty word when it was not requested; ``empty`` is its
-    position.  Each requested word's decomposition is flattened into terms,
-    grouped by word and ordered by power: ``row`` (position in
+    ``support`` holds the requested words, then those of their tails that
+    were not requested, the empty word among them; a ``depth=`` request is
+    tail-closed already, so its support is the request itself.  ``v_plan``
+    solves the tail closure of the decomposition's parts (none of which ends
+    in the letter), the set the start piece is solved on; ``full_plan`` the
+    factor closure of the requested words, the parts and the letter, the set
+    every other piece is solved on.  Each word's decomposition is flattened
+    into terms, grouped by word and ordered by power: ``row`` (position in
     ``support``), ``power``, ``column`` (position in ``v_plan``'s support)
     and ``multiplicity``.  ``depth`` is the longest requested length.
     """
 
     support: _Support
-    n_requested: int
-    empty: int
     depth: int
-    letter: Word
     v_plan: _SolvePlan
     full_plan: _SolvePlan
     row: np.ndarray
@@ -245,12 +246,17 @@ class _AssemblyPlan:
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _assembly_plan(requested: tuple[Word, ...], kj: int) -> _AssemblyPlan:
-    """Compile distinct requested words for assembly at the letter ``kj``."""
-    letter = word(kj)
-    parts = [_decomposition(w.letters, kj) for w in requested]
+    """Compile distinct requested words for assembly at the letter ``kj``.
+
+    The parts of the tails' decompositions are tails of the requested words'
+    parts, so adding the tails changes neither solve plan.
+    """
+    kept = set(requested)
+    words = requested + tuple(w for w in tail_closure(requested) if w not in kept)
+    parts = [_decomposition(w.letters, kj) for w in words]
     part_words = {u for d in parts for _, terms in d for u, _ in terms}
     v_plan = _solve_plan(tuple(tail_closure(part_words)))
-    full_plan = _solve_plan(tuple(factor_closure(set(requested) | part_words | {letter})))
+    full_plan = _solve_plan(tuple(factor_closure(kept | part_words | {word(kj)})))
     column_of = v_plan.support.position
     row, power, column, multiplicity = [], [], [], []
     for r, d in enumerate(parts):
@@ -260,13 +266,9 @@ def _assembly_plan(requested: tuple[Word, ...], kj: int) -> _AssemblyPlan:
                 power.append(i)
                 column.append(column_of[u])
                 multiplicity.append(m)
-    support = _intern(requested if EMPTY_WORD in requested else requested + (EMPTY_WORD,))
     return _AssemblyPlan(
-        support,
-        len(requested),
-        support.position[EMPTY_WORD],
+        _intern(words),
         max((len(w) for w in requested), default=0),
-        letter,
         v_plan,
         full_plan,
         *(np.array(a, dtype=np.intp) for a in (row, power, column)),
@@ -280,24 +282,28 @@ def _depth_assembly_plan(n_forms: int, depth: int, kj: int) -> _AssemblyPlan:
     return _assembly_plan(tuple(all_words(range(n_forms), depth)), kj)
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _v_columns(plan: _AssemblyPlan, support: _Support) -> np.ndarray:
-    """Each assembly term's V word, as a position in a V series' ``support``."""
-    if support is plan.v_plan.support:
-        return plan.column
-    position = support.position
-    return np.array([position[u] for u in plan.v_plan.support.words], dtype=np.intp)[plan.column]
+def _assemble(plan: _AssemblyPlan, v: NcSeries, lam: complex) -> NcSeries:
+    """The regularized series on ``plan.support``: every word is
+    sum_i lam^i/i! * V[w(i)] over its compiled shuffle decomposition, with
+    ``v`` (V) on the support of ``plan.v_plan``."""
+    assert v.support is plan.v_plan.support
+    lam_powers = np.array([lam ** i / math.factorial(i) for i in range(plan.depth + 1)])
+    terms = v.values[plan.column] * plan.multiplicity * lam_powers[plan.power]
+    # bincount adds each word's terms one after another, in plan order
+    n = len(plan.support)
+    values = np.bincount(plan.row, terms.real, n) + 1j * np.bincount(plan.row, terms.imag, n)
+    return NcSeries._of(plan.support, values, plan.depth)
 
 
 class RegularizedTransport:
     """Iterated integrals along a path whose start sits on a good puncture.
 
-    March segments with :meth:`extend`.  :meth:`value` and :meth:`series`
-    read the requested words, including those ending in the distinguished
-    letter, and the empty word; any other word raises
-    :class:`MissingLabelError`.  Every requested word is assembled at once,
-    as  sum_i lam^i/i! * V[w(i)]  over its compiled shuffle decomposition,
-    and again after each :meth:`extend`.
+    The series is assembled once, on the segment that starts at the
+    puncture; past it the series solves the plain transport equation, so
+    each later segment (:meth:`extend`) multiplies it by its transport.
+    :meth:`value` and :meth:`series` read the requested words and their
+    tails, the empty word among them; any other word raises
+    :class:`MissingLabelError`.
     """
 
     def __init__(
@@ -305,8 +311,7 @@ class RegularizedTransport:
         basis: FormBasis,
         ctx: GoodPunctureCtx,
         plan: _AssemblyPlan,
-        v_series: NcSeries,
-        lam: complex,
+        series: NcSeries,
         end: complex,
         error: float,
         tol: float,
@@ -314,12 +319,10 @@ class RegularizedTransport:
         self.basis = basis
         self.ctx = ctx
         self._plan = plan
-        self._v = v_series
-        self._lam = lam
+        self._series = series
         self._end = end
         self._error = error
         self._tol = tol
-        self._values: np.ndarray | None = None
 
     @classmethod
     def along(
@@ -334,29 +337,25 @@ class RegularizedTransport:
     ) -> "RegularizedTransport":
         if (depth is None) == (words is None):
             raise ConfigError("give exactly one of depth= or words=")
-        if words is not None:
+        j = _puncture_at(basis, path.start, path.reg_start if puncture is None else puncture)
+        ctx = good_puncture_ctx(basis, j)
+        if words is None:
+            plan = _depth_assembly_plan(basis.n_forms, depth, ctx.form_label)
+        else:
             requested = tuple(
                 dict.fromkeys(w if isinstance(w, Word) else Word(tuple(w)) for w in words)
             )
             for w in requested:
                 if any(a >= basis.n_forms for a in w.letters):
                     raise ConfigError(f"word {w} uses letters outside the basis")
-        hint = puncture if puncture is not None else path.reg_start
-        j = _puncture_at(basis, path.start, hint)
-        ctx = good_puncture_ctx(basis, j)
-        if words is None:
-            plan = _depth_assembly_plan(basis.n_forms, depth, ctx.form_label)
-        else:
             plan = _assembly_plan(requested, ctx.form_label)
 
         segs = path.segments
         seg_tol = tol / len(segs)
-        v_series, err = _transport_segment(
-            basis, segs[0], plan.full_plan, plan.v_plan, j, seg_tol
-        )
+        v, err = _transport_segment(basis, segs[0], plan.full_plan, plan.v_plan, j, seg_tol)
         reg = reg_line_integral(Path((segs[0],)), ctx.form_label, basis, tol=seg_tol)
-        err += reg.error
-        out = cls(basis, ctx, plan, v_series, reg.value, segs[0].point(1.0), err, tol)
+        series = _assemble(plan, v, reg.value)
+        out = cls(basis, ctx, plan, series, segs[0].point(1.0), err + reg.error, tol)
         for seg in segs[1:]:
             out.extend(seg, tol=seg_tol)
         return out
@@ -371,54 +370,28 @@ class RegularizedTransport:
         t, err = _transport_segment(
             self.basis, seg, full, full, None, tol if tol is not None else self._tol
         )
-        self._v = t.product(self._v)
-        self._lam += t.coefficient(self._plan.letter)
+        self._series = t.product(self._series)
         self._end = seg.point(1.0)
         self._error += err
-        self._values = None
 
     @property
     def error(self) -> float:
         return self._error
 
-    def _assembled(self) -> np.ndarray:
-        """Values of the requested words, in request order."""
-        if self._values is None:
-            plan = self._plan
-            v = self._v.values[_v_columns(plan, self._v.support)]
-            lam_powers = np.array(
-                [self._lam ** i / math.factorial(i) for i in range(plan.depth + 1)]
-            )
-            terms = v * plan.multiplicity * lam_powers[plan.power]
-            # bincount adds each word's terms one after another, in plan order
-            n = plan.n_requested
-            self._values = np.bincount(plan.row, terms.real, n) + 1j * np.bincount(
-                plan.row, terms.imag, n
-            )
-        return self._values
-
     def value(self, w) -> complex:
         """Regularized iterated integral of a word or generalized word."""
-        values = self._assembled()
+        series = self._series
         total = 0j
         for wd, c in _as_gw(w).items():
-            if wd.is_empty:
-                total += c
-                continue
-            row = self._plan.support.position.get(wd)
-            if row is None:
+            k = series.support.position.get(wd)
+            if k is None:
                 raise MissingLabelError(f"word {wd} was not part of the transported set")
-            total += c * values.item(row)
+            total += c * series.values.item(k)
         return total
 
     def series(self) -> NcSeries:
-        """All requested words as a series (support as requested, with the
-        empty word)."""
-        plan = self._plan
-        values = np.empty(len(plan.support), dtype=complex)
-        values[: plan.n_requested] = self._assembled()
-        values[plan.empty] = 1.0
-        return NcSeries._of(plan.support, values, plan.depth)
+        """The requested words and their tails as a series."""
+        return self._series
 
 
 def reg_iterated(path: Path, w, basis: FormBasis, *, tol: float = 1e-12) -> complex:
@@ -515,6 +488,7 @@ def asymptotic_expansion(
     """
     if i == j:
         raise ConfigError("target and base punctures must differ")
+    _check_tol(tol)  # the zero word runs no quadrature
     ctx_i = good_puncture_ctx(basis, i)
     good_puncture_ctx(basis, j)
     gw = _as_gw(w)

@@ -195,31 +195,45 @@ def lattice_distance(z, tau: complex):
     return _like(z, abs(a) * _cell_distance(u0, t))
 
 
-def _segment_distances(surface: "SurfaceConfig", seg: Segment) -> np.ndarray:
-    """Exact distance from the segment (line or arc) to the nearest copy of
-    each puncture, one entry per puncture.
+def _copies_near(surface: "SurfaceConfig", c: complex, r: float) -> np.ndarray:
+    """Copies of each puncture around c, one row per puncture, among them
+    every copy within r of c and the nearest copy to any point within r of c.
 
-    Every point of the segment lies within half its length, R, of its
-    midpoint c, which is on the segment.  The copy at the nearest point of
-    the nearest row bounds the answer by its distance d from c, at most
-    |a|*hypot(1, Im t)/2, so every copy that can come nearer lies within
-    R + d of c.  A box of rows around c in the reduced basis a*(1, t)
-    covers that disc; each box point is a copy, so the minimum over the box
-    is exact.
+    The copy at the nearest point of the nearest row of the reduced basis
+    a*(1, t) is within d <= |a|*hypot(1, Im t)/2 of c, so the copies nearest
+    to such a point lie within r + d of c.  A box of rows around c covers
+    that disc; on a sphere each puncture is its only copy.
     """
     poles = np.array(surface.punctures)
     if surface.genus == 0:
-        return segment_min_distance(seg, poles)
-    c = seg.point(0.5)
+        return poles[:, None, None]
     a, t = _lattice_basis(surface.tau)
-    # in units of a: copies m + n*t of a puncture within r of w = (c - P)/a
+    # in units of a: copies m + n*t of a puncture within r + d of w = (c - P)/a
     w = (c - poles) / a
-    r = 0.5 * (seg.length / abs(a) + math.hypot(1.0, t.imag))
+    r = r / abs(a) + 0.5 * math.hypot(1.0, t.imag)
     kn, km = int(r / t.imag + 0.5), int(r + 0.5)
     n = np.rint(w.imag / t.imag)[:, None] + np.arange(-kn, kn + 1)
     m = np.rint((w[:, None] - n * t).real)[..., None] + np.arange(-km, km + 1)
-    copies = poles[:, None, None] + a * (m + n[..., None] * t)
+    return poles[:, None, None] + a * (m + n[..., None] * t)
+
+
+def _segment_distances(surface: "SurfaceConfig", seg: Segment) -> np.ndarray:
+    """Exact distance from the segment (line or arc) to the nearest copy of
+    each puncture, one entry per puncture: every point of the segment lies
+    within half its length of its midpoint, which is on the segment."""
+    copies = _copies_near(surface, seg.point(0.5), 0.5 * seg.length)
     return segment_min_distance(seg, copies).min(axis=(1, 2))
+
+
+def _copies_inside(surface: "SurfaceConfig", corners) -> list[tuple[int, complex]]:
+    """(puncture, copy) for every copy strictly inside the triangle with the
+    given corners: strictly on the same side of all three edges."""
+    z = np.array(corners, dtype=complex).reshape(3, 1, 1, 1)
+    copies = _copies_near(surface, z.mean(), float(np.abs(z - z.mean()).max()))
+    # the side of edge k (corner k to k + 1) a copy is on: Im(conj(edge) * (copy - corner))
+    sides = ((np.roll(z, -1, axis=0) - z).conj() * (copies - z)).imag
+    inside = (sides > 0).all(axis=0) | (sides < 0).all(axis=0)
+    return [(int(p), complex(copies[p, i, k])) for p, i, k in zip(*np.nonzero(inside))]
 
 
 def _theta_derivatives(z0: np.ndarray, p: ThetaParams, order: int) -> np.ndarray:

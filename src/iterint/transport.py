@@ -70,27 +70,19 @@ _PLAN_CACHE_SIZE = 32
 def _build_quadrature() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes on [0,1], the end-row (plain weights), and the integration
     matrix Q with Q[q, p] = integral of the p-th Lagrange basis polynomial
-    from 0 to node q (exact: degree-15 integrands, 16-point rows)."""
+    from 0 to node q (exact: degree-15 integrands, 16-point rows), as
+    nodes[q] * sum_i weights[i] * l_p(nodes[q] * nodes[i]) over all (q, i, p)
+    at once, in the order of a scalar loop: r ascending in l_p, then i."""
     x, w = np.polynomial.legendre.leggauss(_N_NODES)
     nodes = 0.5 * (x + 1.0)
     weights = 0.5 * w
-
-    def lagrange(p: int, t: float) -> float:
-        out = 1.0
-        for r in range(_N_NODES):
-            if r != p:
-                out *= (t - nodes[r]) / (nodes[p] - nodes[r])
-        return out
-
-    q = np.zeros((_N_NODES, _N_NODES))
-    for row in range(_N_NODES):
-        upper = nodes[row]
-        inner = upper * nodes
-        for p in range(_N_NODES):
-            q[row, p] = upper * sum(
-                weights[i] * lagrange(p, inner[i]) for i in range(_N_NODES)
-            )
-    return nodes, weights, q
+    inner = nodes[:, None, None] * nodes[None, :, None]
+    lagrange = np.ones((_N_NODES, _N_NODES, _N_NODES))
+    for r in range(_N_NODES):
+        others = np.arange(_N_NODES) != r
+        lagrange[..., others] *= (inner - nodes[r]) / (nodes[others] - nodes[r])
+    q = sum(weights[i] * lagrange[:, i, :] for i in range(_N_NODES))
+    return nodes, weights, nodes[:, None] * q
 
 
 _NODES, _END_ROW, _INT_MATRIX = _build_quadrature()
@@ -484,6 +476,12 @@ def _solve_segment(
     return NcSeries._of(words.support, coeffs, len(words.levels))
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ConfigError unless the tolerance is positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
+
+
 def _adaptive_segment(
     solve: Callable[[float, float], NcSeries],
     a: float,
@@ -496,8 +494,10 @@ def _adaptive_segment(
 
     ``solve(a, b)`` returns the series of the piece [a, b] of the segment;
     ``direct`` is the parent's solve of this very piece, when there is one.
-    Returns the composed series and an error estimate.
+    Returns the composed series and an error estimate.  Every quadrature
+    runs here, so this is where every tolerance is checked.
     """
+    _check_tol(tol)
     mid = 0.5 * (a + b)
     if direct is None:
         direct = solve(a, b)
@@ -609,8 +609,6 @@ def transport_series(
             if any(k >= basis.n_forms for k in w.letters):
                 raise ConfigError(f"word {w} uses letters outside the basis")
         plan = _solve_plan(tuple(wordlist))
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
 
     seg_tol = tol / len(path.segments)
     total: NcSeries | None = None
@@ -644,6 +642,7 @@ def iterated_integral(
     tol: float = 1e-12,
 ) -> IntegralResult:
     """Evaluate one or several words (or generalized words) along a path."""
+    _check_tol(tol)  # before the shortcut that runs no quadrature
     single = isinstance(words, (Word, GeneralizedWord))
     requested = (words,) if single else tuple(words)
     plain: set[Word] = set()

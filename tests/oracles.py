@@ -4,7 +4,9 @@ Everything here is deliberately written with different algorithms from the
 package code: shuffles by explicit position choice, zeta by Euler-Maclaurin
 summation, winding numbers by dense midpoint quadrature, series products and
 inverses on plain dicts (the inverse by its sum over compositions), the
-nested segment solve one word at a time in plain Python sums.
+nested segment solve one word at a time in plain Python sums.  The
+integration matrix is the one exception: its scalar loop is the very
+arithmetic the package vectorizes, so the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -102,6 +104,28 @@ def ref_nested_solve(forms: dict, int_matrix, end_row, words) -> dict:
         nodewise[w] = [sum(q * x for q, x in zip(row, integrand)) for row in int_matrix]
         out[w] = sum(e * x for e, x in zip(end_row, integrand))
     return out
+
+
+def ref_integration_matrix(nodes, weights) -> list[list[float]]:
+    """Q[q][p] = integral from 0 to nodes[q] of the p-th Lagrange basis
+    polynomial, by the quadrature rule itself on [0, nodes[q]], one Lagrange
+    product at a time in plain Python."""
+    n = len(nodes)
+
+    def lagrange(p: int, t: float) -> float:
+        out = 1.0
+        for r in range(n):
+            if r != p:
+                out *= (t - nodes[r]) / (nodes[p] - nodes[r])
+        return out
+
+    return [
+        [
+            upper * sum(weights[i] * lagrange(p, upper * nodes[i]) for i in range(n))
+            for p in range(n)
+        ]
+        for upper in nodes
+    ]
 
 
 # Bernoulli numbers B_2, B_4, B_6 for the Euler-Maclaurin tail.

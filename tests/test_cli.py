@@ -181,6 +181,14 @@ class TestCheck:
         assert main(["check", "homotopy", "--depth", "3", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["max_residual"] < 1e-9
 
+    @pytest.mark.parametrize("tau", ["0.3i", "0.15i", "2.5+0.3i"])
+    def test_homotopy_detour_around_a_puncture_exits_2(self, capsys, tau):
+        # at these moduli a copy of a puncture lies between the straight path
+        # and a detour, so the two are not homotopic and cannot be compared
+        assert main(["check", "homotopy", "--genus", "1", "--tau", tau]) == 2
+        err = capsys.readouterr().err
+        assert "detour-0" in err and "copy of puncture 2" in err
+
     def test_impossible_tolerance_fails(self, tmp_path):
         out = tmp_path / "rep.json"
         rc = main(["check", "shuffle", "--tol", "1e-30", "--out", str(out)])

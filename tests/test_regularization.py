@@ -29,7 +29,7 @@ from iterint.regularization import (
 from iterint.surfaces import FormBasis, SurfaceConfig, eval_form
 import iterint.regularization as regularization_mod
 import iterint.transport as transport_mod
-from iterint.transport import all_words, transport_series
+from iterint.transport import all_words, iterated_integral, transport_series
 from iterint.words import GeneralizedWord, Word, decompose_at, shuffle, word
 
 from oracles import zeta_em
@@ -254,17 +254,33 @@ class TestRegIterated:
         assert type(reg_iterated(p, word(0, 1), b)) is complex
 
     def test_unrequested_word_raises(self, sphere01):
+        # the tails of a requested word are readable; any other word raises
         _, b = sphere01
         rt = RegularizedTransport.along(
             line_path(0.0, 0.5), b, words=[word(0, 1)], puncture=0
         )
-        with pytest.raises(MissingLabelError):
-            rt.value(word(1, 1))
+        assert rt.value(word(1)) == rt.series().coefficient(word(1))
+        assert abs(rt.value(word(1)) - math.log(0.5)) < 1e-14
+        for w in (word(1, 1), word(0), word(1, 0)):
+            with pytest.raises(MissingLabelError):
+                rt.value(w)
+
+    @staticmethod
+    def _decomposition_sum(v, lam, w, kj):
+        """sum_i lam^i/i! * V[w(i)] term by term, and the sum of the terms'
+        moduli."""
+        terms = [
+            lam ** i / math.factorial(i) * c * v.coefficient(u)
+            for i, gw in decompose_at(w, kj)
+            for u, c in gw.items()
+        ]
+        return sum(terms), sum(abs(t) for t in terms)
 
     @pytest.mark.parametrize("genus", [0, 1])
     def test_assembly_matches_decomposition(self, genus, sphere01, torus3):
-        # every requested word, those ending in the distinguished letter
-        # among them, is sum_i lam^i/i! V[w(i)], before and after an extend
+        # at the start every requested word, those ending in the distinguished
+        # letter among them, is sum_i lam^i/i! V[w(i)]; an extend then
+        # multiplies the series by the extension's transport
         s, b = (sphere01, torus3)[genus]
         j, end, after = ((0, 0.4 + 0.3j, 0.5 + 0.1j), (1, 0.3 + 0.2j, 0.35 + 0.05j))[genus]
         kj = good_puncture_ctx(b, j).form_label
@@ -274,24 +290,61 @@ class TestRegIterated:
             Word(tuple(rng.randrange(b.n_forms) for _ in range(rng.randint(1, 4))))
             for _ in range(8)
         ]
-        rt = RegularizedTransport.along(
-            line_path(s.punctures[j], end), b, words=requested, puncture=j
+        first = line_path(s.punctures[j], end)
+        rt = RegularizedTransport.along(first, b, words=requested, puncture=j)
+        plan = regularization_mod._assembly_plan(tuple(dict.fromkeys(requested)), kj)
+        v, _ = transport_mod._transport_segment(
+            b, first.segments[0], plan.full_plan, plan.v_plan, j, 1e-12
         )
-        for extended in (False, True):
-            if extended:
-                rt.extend(LineSegment(end, after))
-            series = rt.series()
-            for w in requested:
-                terms = [
-                    rt._lam ** i / math.factorial(i) * c * rt._v.coefficient(u)
-                    for i, gw in decompose_at(w, kj)
-                    for u, c in gw.items()
-                ]
-                scale = sum(abs(t) for t in terms)
-                assert abs(rt.value(w) - sum(terms)) <= 1e-14 * scale, (w, extended)
-                assert series.coefficient(w) == rt.value(w)
-            assert rt.value(word()) == 1.0
-            assert series.coefficient(word()) == 1.0
+        lam = reg_line_integral(first, kj, b).value
+        before = rt.series()
+        for w in requested:
+            want, scale = self._decomposition_sum(v, lam, w, kj)
+            assert abs(rt.value(w) - want) <= 1e-14 * scale, w
+            assert before.coefficient(w) == rt.value(w)
+        assert rt.value(word()) == before.coefficient(word()) == 1.0
+
+        extension = line_path(end, after)
+        rt.extend(extension.segments[0])
+        # the transport of the set extend solves, the one plan.full_plan holds
+        t = transport_series(extension, b, words=plan.full_plan.support.words).series
+        want = t.product(before)
+        assert rt.series().coeffs == want.coeffs
+        for w in requested:
+            assert rt.value(w) == want.coefficient(w)
+        assert rt.value(word()) == 1.0
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_two_segments_compose_like_extend(self, genus, sphere01, torus3):
+        # along a two-segment path, and along its first segment followed by
+        # an extend, give the same bits; both match the decomposition formula
+        # with V and lam taken along the whole path
+        s, b = (sphere01, torus3)[genus]
+        j, mid, end = ((0, 0.4 + 0.3j, 0.6 - 0.1j), (1, 0.3 + 0.2j, 0.2 + 0.05j))[genus]
+        kj = good_puncture_ctx(b, j).form_label
+        depth = 3
+        p = s.punctures[j]
+        path = Path((LineSegment(p, mid), LineSegment(mid, end)))
+        whole = RegularizedTransport.along(path, b, depth=depth, puncture=j, tol=1e-12)
+        stepped = RegularizedTransport.along(
+            line_path(p, mid), b, depth=depth, puncture=j, tol=0.5e-12
+        )
+        stepped.extend(path.segments[1])
+        assert whole.series().coeffs == stepped.series().coeffs
+        assert whole.error == stepped.error
+
+        plan = regularization_mod._depth_assembly_plan(b.n_forms, depth, kj)
+        v, _ = transport_mod._transport_segment(
+            b, path.segments[0], plan.full_plan, plan.v_plan, j, 0.5e-12
+        )
+        t, _ = transport_mod._transport_segment(
+            b, path.segments[1], plan.full_plan, plan.full_plan, None, 0.5e-12
+        )
+        v = t.product(v)
+        lam = reg_line_integral(path, kj, b).value
+        for w in all_words(range(b.n_forms), depth):
+            want, scale = self._decomposition_sum(v, lam, w, kj)
+            assert abs(whole.value(w) - want) <= 1e-14 * scale, w
 
     def test_extend_requires_chaining(self, sphere01):
         _, b = sphere01
@@ -518,14 +571,53 @@ class TestAssociator:
         with pytest.raises(ConfigError):
             associator(b, 1, 1, depth=2)
 
-    def test_assembly_gathers_from_any_v_support(self):
-        # the V series is gathered through its own support, whatever the
-        # order of its words
-        plan = regularization_mod._depth_assembly_plan(2, 3, 0)
-        words = plan.v_plan.support.words
-        reversed_support = transport_mod._Support(words[::-1])
-        columns = regularization_mod._v_columns(plan, reversed_support)
-        assert [reversed_support.words[k] for k in columns] == [words[k] for k in plan.column]
+
+class TestTolerance:
+    """Every entry point rejects a tolerance that is not positive and finite,
+    also where its answer needs no quadrature."""
+
+    def _extend(b, tol):
+        rt = RegularizedTransport.along(line_path(0.0, 0.5), b, depth=2, puncture=0)
+        rt.extend(LineSegment(0.5, 0.6 + 0.1j), tol=tol)
+
+    CALLS = {
+        "transport_series": lambda b, tol: transport_series(
+            line_path(0.2 + 0.1j, 0.8), b, depth=2, tol=tol
+        ),
+        "iterated_integral": lambda b, tol: iterated_integral(
+            line_path(0.2 + 0.1j, 0.8), word(0, 1), b, tol
+        ),
+        "iterated_integral-no-words": lambda b, tol: iterated_integral(
+            line_path(0.2 + 0.1j, 0.8), [], b, tol
+        ),
+        "RegularizedTransport.along": lambda b, tol: RegularizedTransport.along(
+            line_path(0.0, 0.5), b, depth=2, puncture=0, tol=tol
+        ),
+        "RegularizedTransport.extend": _extend,
+        "reg_line_integral": lambda b, tol: reg_line_integral(line_path(0.0, 0.5), 1, b, tol=tol),
+        "reg_line_integral-pole-form": lambda b, tol: reg_line_integral(
+            line_path(0.0, 0.5), 0, b, tol=tol
+        ),
+        "reg_iterated": lambda b, tol: reg_iterated(line_path(0.0, 0.5), word(0, 1), b, tol=tol),
+        "associator": lambda b, tol: associator(b, 1, 0, depth=2, tol=tol),
+        "monodromy": lambda b, tol: monodromy(
+            b, LoopSpec(1, 1, basepoint=0.5), 0, depth=2, tol=tol
+        ),
+        "asymptotic_expansion": lambda b, tol: asymptotic_expansion(
+            b, 1, 0, zeta_word(2), tol=tol
+        ),
+        "asymptotic_expansion-zero-word": lambda b, tol: asymptotic_expansion(
+            b, 1, 0, GeneralizedWord.zero(), tol=tol
+        ),
+        "mzv": lambda b, tol: mzv(b, 1, 0, zeta_word(2), tol=tol),
+    }
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_bad_tolerance_raises(self, sphere01, entry, tol):
+        _, b = sphere01
+        with pytest.raises(ConfigError, match="tol must be positive and finite"):
+            self.CALLS[entry](b, tol)
 
 
 class TestSeriesOwnership:

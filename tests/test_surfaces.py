@@ -23,6 +23,7 @@ from iterint.surfaces import (
     basis_to_json,
     complex_from_json,
     complex_to_json,
+    _copies_inside,
     _form_values,
     _segment_distances,
     d2log_theta,
@@ -308,6 +309,35 @@ class TestSurfaceConfig:
             exact = _segment_distances(s, seg)
             assert np.all(exact <= sweep + 1e-12)
             assert np.all(exact >= sweep - 0.5 * seg.length / 20000 - 1e-12)
+
+    @pytest.mark.parametrize("tau", (1j, 0.3 + 0.04j, 2.5 + 0.3j, -0.45 + 0.6j, 0.15j))
+    def test_copies_inside_match_brute_force(self, tau):
+        # against every copy P + m + n*tau with |m| <= 40, |n| <= 80, far
+        # more than the triangles can reach at these moduli
+        rng = np.random.default_rng(5)
+        s = SurfaceConfig(1, (0, 0.5 + 0.5 * tau, 0.21 + 0.6 * tau), tau=tau)
+        m, n = np.meshgrid(np.arange(-40, 41), np.arange(-80, 81))
+        copies = np.array(s.punctures)[:, None, None] + m + n * tau
+        found = 0
+        for _ in range(8):
+            z = rng.uniform(-1, 1.5, 3) + 1j * rng.uniform(-1, 1.5, 3)
+            sides = np.array([((z[k - 2] - z[k - 1]).conjugate() * (copies - z[k - 1])).imag
+                              for k in range(3)])
+            inside = (sides > 0).all(axis=0) | (sides < 0).all(axis=0)
+            want = {
+                (p, round(c.real, 9), round(c.imag, 9))
+                for p, c in zip(np.nonzero(inside)[0], copies[inside])
+            }
+            got = {(p, round(c.real, 9), round(c.imag, 9)) for p, c in _copies_inside(s, z)}
+            assert got == want
+            found += len(want)
+        assert found
+
+    def test_copies_inside_sphere(self):
+        s = SurfaceConfig(0, (0, 1, 2j))
+        assert _copies_inside(s, (-1 - 1j, 1 + 3j, 2.5 - 1j)) == [(0, 0j), (1, 1 + 0j)]
+        # punctures on an edge or at a corner are not strictly inside
+        assert _copies_inside(s, (-1, 2, 0.5 + 2j)) == []
 
     def test_puncture_distances(self):
         s = SurfaceConfig(1, (0, 0.3 + 0.4j), tau=1j)

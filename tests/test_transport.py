@@ -33,7 +33,7 @@ from iterint.transport import (
 import iterint.transport as transport_mod
 from iterint.words import EMPTY_WORD, GeneralizedWord, Word, shuffle, word
 
-from oracles import ref_inverse, ref_nested_solve, ref_product
+from oracles import ref_integration_matrix, ref_inverse, ref_nested_solve, ref_product
 
 # frozen references (20-digit evaluations of the classical polylogarithm)
 LI2_06 = 0.72758630771633338951
@@ -56,6 +56,12 @@ class TestQuadrature:
             want = nodes ** (d + 1) / (d + 1)
             assert np.max(np.abs(q @ vals - want)) < 1e-15
             assert abs(e @ vals - 1.0 / (d + 1)) < 1e-15
+
+    def test_integration_matrix_equals_scalar_loop(self):
+        nodes = transport_mod._NODES.tolist()
+        weights = transport_mod._END_ROW.tolist()
+        want = ref_integration_matrix(nodes, weights)
+        assert transport_mod._INT_MATRIX.tolist() == want
 
 
 class TestWordSets:
