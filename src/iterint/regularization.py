@@ -222,9 +222,10 @@ def reg_line_integral(
 class _AssemblyPlan:
     """A request compiled for assembly at one distinguished letter.
 
-    ``support`` holds the requested words, then those of their tails that
-    were not requested, the empty word among them; a ``depth=`` request is
-    tail-closed already, so its support is the request itself.  ``v_plan``
+    ``support`` holds the requested words and their tails, the empty word
+    among them, by length and then by letters: the order of ``full_plan``'s
+    words, so a transport on ``full_plan`` times the series keeps this
+    support, and every ``extend`` reuses one split plan.  ``v_plan``
     solves the tail closure of the decomposition's parts (none of which ends
     in the letter), the set the start piece is solved on; ``full_plan`` the
     factor closure of the requested words, the parts and the letter, the set
@@ -251,12 +252,11 @@ def _assembly_plan(requested: tuple[Word, ...], kj: int) -> _AssemblyPlan:
     The parts of the tails' decompositions are tails of the requested words'
     parts, so adding the tails changes neither solve plan.
     """
-    kept = set(requested)
-    words = requested + tuple(w for w in tail_closure(requested) if w not in kept)
+    words = tuple(tail_closure(requested))
     parts = [_decomposition(w.letters, kj) for w in words]
     part_words = {u for d in parts for _, terms in d for u, _ in terms}
     v_plan = _solve_plan(tuple(tail_closure(part_words)))
-    full_plan = _solve_plan(tuple(factor_closure(kept | part_words | {word(kj)})))
+    full_plan = _solve_plan(tuple(factor_closure([*requested, *part_words, word(kj)])))
     column_of = v_plan.support.position
     row, power, column, multiplicity = [], [], [], []
     for r, d in enumerate(parts):
@@ -468,7 +468,7 @@ def _ladder_fit(
     sigma = math.sqrt(float((np.abs(resid) ** 2).sum()) / dof)
     gain = float(np.linalg.norm(np.linalg.pinv(aw)[0]))
     err = abs(coef[0] - trimmed[0]) + sigma * gain
-    return complex(coef[0]), err
+    return complex(coef[0]), float(err)
 
 
 def asymptotic_expansion(

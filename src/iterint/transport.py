@@ -511,7 +511,7 @@ def _adaptive_segment(
     scale = float(np.abs(direct.values).max(initial=0.0))
     floor = 64.0 * np.finfo(float).eps * scale
     if diff < tol or diff < floor:
-        return composed, max(diff, floor)
+        return composed, float(max(diff, floor))
     if level >= _MAX_LEVEL:
         raise ToleranceError(
             f"segment refinement stalled at level {level} (residual {diff:.3g}, tol {tol:.3g})"

@@ -1,13 +1,24 @@
 """Derivatives of iterated integrals in the puncture positions.
 
-Moving a pole deforms the basis forms themselves.  Along a straight-line
-path the derivative of Li_w collapses, after integration by parts, to a
-combination of words one letter shorter: the moved letter fuses with each
-neighbour and the pointwise product of the two coefficient functions expands
-back over the basis.  Genus 0 moves the single pole of the letter; genus 1
-moves both poles of the letter jointly.  Individual genus-1 pole derivatives
-and derivatives at the first or last letter obey different formulas and are
-not computed.
+Moving the poles of a letter k deforms its form f_k: at genus 0 the single
+pole of f_k = 1/(z - P) moves, at genus 1 both poles of the elliptic form
+move together.  Either way f_k changes by -f_k' per unit shift.  Let the
+word w = (a_1 ... a_r) run from ``base`` to ``z``, so that a_1 sits at z,
+and let f_k f_l = sum_i C^(i) f_i be the expansion of ``structure_constants``.
+Integrating by parts at every occurrence of k, the derivative of Li_w is the
+sum of
+
+- -f_k(z) Li[a_2 ... a_r] if a_1 = k;
+- +f_k(base) Li[a_1 ... a_(r-1)] if a_r = k;
+- +C^(i) Li[w with the pair replaced by i] for each adjacent pair (k, l),
+  l != k;
+- the same term with a minus sign for each adjacent pair (l, k).
+
+The two terms of an adjacent pair (k, k) cancel.  Moving the form dz raises
+VariationUnsupportedError.  When another letter of the word has a pole of k,
+moving those punctures deforms that letter too, and the request raises
+DecompositionUnavailableError; so does a product whose expansion needs a
+form the basis lacks.
 """
 
 from __future__ import annotations
@@ -18,7 +29,6 @@ from dataclasses import dataclass, replace
 from .errors import (
     ConfigError,
     DecompositionUnavailableError,
-    ToleranceError,
     VariationUnsupportedError,
 )
 from .paths import LineSegment, line_path
@@ -27,13 +37,13 @@ from .surfaces import (
     FormSpec,
     SurfaceConfig,
     _segment_distances,
+    eval_form,
     lattice_distance,
     structure_constants,
 )
 from .transport import iterated_integral
 from .words import GeneralizedWord, Word
 
-_CROSS_CHECK_TOL = 1e-12
 # redraws before a random torus draw gives up; a modulus with Im tau about
 # 0.7 still needs up to about 800 request draws
 _MAX_DRAWS = 1000
@@ -43,10 +53,12 @@ _MAX_DRAWS = 1000
 class VariationRequest:
     """A puncture-motion derivative of one iterated integral.
 
-    ``position`` is the 1-based index of the moved letter in ``word``; the
-    letters must be pairwise distinct basis labels and, on the torus, carry
-    pairwise disjoint pole sets.  The integral runs along the straight line
-    from ``base`` to ``z``.
+    ``position`` is the 1-based index in ``word`` of the moved letter; every
+    occurrence of that letter moves, wherever it stands.  The integral runs
+    along the straight line from ``base`` to ``z``.  Letters outside the
+    basis and positions outside the word raise ConfigError, moving dz raises
+    VariationUnsupportedError, and another letter with a pole of the moved
+    letter raises DecompositionUnavailableError.
     """
 
     basis: FormBasis
@@ -59,108 +71,52 @@ class VariationRequest:
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "base", complex(self.base))
         ls = self.word.letters
-        r = len(ls)
-        n = self.basis.n_forms
-        if any(not 0 <= a < n for a in ls):
+        if any(not 0 <= a < self.basis.n_forms for a in ls):
             raise ConfigError("word uses letters outside the basis")
-        if len(set(ls)) != r:
-            raise ConfigError("variation formulas need pairwise distinct letters")
-        if not 1 <= self.position <= r:
+        if not 1 <= self.position <= len(ls):
             raise ConfigError(f"position {self.position} outside the word")
-        if self.position in (1, r):
-            raise VariationUnsupportedError(
-                "derivatives at the first or last letter are not implemented"
-            )
-        if not self.moving_punctures():
+        moving = set(self.moving_punctures())
+        if not moving:
             raise VariationUnsupportedError("the moved letter has no poles to move")
-        if self.basis.surface.genus == 1:
-            pole_sets = [set(self.basis.forms[a].pole_indices()) for a in ls]
-            for u in range(r):
-                for v in range(u + 1, r):
-                    if pole_sets[u] & pole_sets[v]:
-                        raise DecompositionUnavailableError(
-                            f"letters {ls[u]} and {ls[v]} share a pole; their "
-                            "products leave the basis span"
-                        )
+        k = ls[self.position - 1]
+        for a in ls:
+            if a != k and moving & set(self.basis.forms[a].pole_indices()):
+                raise DecompositionUnavailableError(
+                    f"letter {a} shares a pole with the moved letter {k}, so "
+                    "moving it deforms both"
+                )
 
     def moving_punctures(self) -> tuple[int, ...]:
         """Puncture indices shifted by the derivative (the moved letter's poles)."""
         return self.basis.forms[self.word[self.position - 1]].pole_indices()
 
 
-def _fused_combination(req: VariationRequest) -> GeneralizedWord:
-    """Both neighbour fusions of the moved letter, expanded over the basis."""
+def _derivative_combination(req: VariationRequest) -> GeneralizedWord:
+    """The derivative of Li_word as a combination of words one letter
+    shorter, by the formula of the module docstring."""
     ls = req.word.letters
-    k = req.position - 1
+    k = ls[req.position - 1]
     combo: dict[Word, complex] = {}
 
-    def add(w: Word, c: complex) -> None:
+    def add(letters: tuple[int, ...], c: complex) -> None:
+        w = Word(letters)
         combo[w] = combo.get(w, 0j) + c
 
-    for i, c in structure_constants(req.basis, ls[k], ls[k + 1]).coefficients.items():
-        add(Word(ls[:k] + (i,) + ls[k + 2 :]), c)
-    for i, c in structure_constants(req.basis, ls[k - 1], ls[k]).coefficients.items():
-        add(Word(ls[: k - 1] + (i,) + ls[k + 1 :]), -c)
+    if ls[0] == k:
+        add(ls[1:], -eval_form(req.basis, k, req.z))
+    if ls[-1] == k:
+        add(ls[:-1], eval_form(req.basis, k, req.base))
+    for n, (a, b) in enumerate(zip(ls, ls[1:])):
+        if (a == k) != (b == k):
+            for i, c in structure_constants(req.basis, a, b).coefficients.items():
+                add(ls[:n] + (i,) + ls[n + 2 :], c if a == k else -c)
     return GeneralizedWord(combo)
 
 
-def _three_term_combination(req: VariationRequest) -> GeneralizedWord:
-    """Genus 0 fusion coefficients written out directly.
-
-    Dropping the previous letter costs 1/(P_prev - P_k), dropping the next
-    costs 1/(P_k - P_next), and dropping the moved letter itself costs minus
-    the sum of the two.
-    """
-    ls = req.word.letters
-    k = req.position - 1
-    pts = req.basis.surface.punctures
-    p_prev = pts[req.basis.forms[ls[k - 1]].pole]
-    p_here = pts[req.basis.forms[ls[k]].pole]
-    p_next = pts[req.basis.forms[ls[k + 1]].pole]
-    c_prev = 1.0 / (p_prev - p_here)
-    c_next = 1.0 / (p_here - p_next)
-    return GeneralizedWord(
-        {
-            Word(ls[: k - 1] + ls[k:]): c_prev,
-            Word(ls[: k + 1] + ls[k + 2 :]): c_next,
-            Word(ls[:k] + ls[k + 1 :]): -(c_prev + c_next),
-        }
-    )
-
-
-def genus0_variation_rhs(req: VariationRequest, *, tol: float = 1e-12) -> complex:
-    """Derivative of Li_word in the pole position of the moved letter.
-
-    The structure-constant sum and its explicit three-term form are both
-    evaluated and must agree; a mismatch indicates a broken decomposition.
-    """
-    if req.basis.surface.genus != 0:
-        raise ConfigError("genus 0 formula applied to a genus 1 basis")
-    full = _fused_combination(req)
-    simple = _three_term_combination(req)
-    res = iterated_integral(line_path(req.base, req.z), (full, simple), req.basis, tol)
-    v_full, v_simple = res.values
-    if abs(v_full - v_simple) > _CROSS_CHECK_TOL * max(1.0, abs(v_full)):
-        raise ToleranceError(
-            f"structure-constant sum {v_full} and three-term form "
-            f"{v_simple} disagree"
-        )
-    return v_full
-
-
-def elliptic_variation_rhs(req: VariationRequest, *, tol: float = 1e-12) -> complex:
-    """Joint derivative of Li_word in both pole positions of the moved letter."""
-    if req.basis.surface.genus != 1:
-        raise ConfigError("elliptic formula applied to a genus 0 basis")
-    combo = _fused_combination(req)
-    return iterated_integral(line_path(req.base, req.z), combo, req.basis, tol).value
-
-
 def variation_rhs(req: VariationRequest, *, tol: float = 1e-12) -> complex:
-    """Dispatch on the genus of the request's surface."""
-    if req.basis.surface.genus == 0:
-        return genus0_variation_rhs(req, tol=tol)
-    return elliptic_variation_rhs(req, tol=tol)
+    """Derivative of Li_word in the poles of the moved letter."""
+    combo = _derivative_combination(req)
+    return iterated_integral(line_path(req.base, req.z), combo, req.basis, tol).value
 
 
 def fd_variation(

@@ -4,7 +4,8 @@ Everything here is deliberately written with different algorithms from the
 package code: shuffles by explicit position choice, zeta by Euler-Maclaurin
 summation, winding numbers by dense midpoint quadrature, series products and
 inverses on plain dicts (the inverse by its sum over compositions), the
-nested segment solve one word at a time in plain Python sums.  The
+nested segment solve one word at a time in plain Python sums, the genus-0
+puncture derivative by its three-term partial fractions.  The
 integration matrix is the one exception: its scalar loop is the very
 arithmetic the package vectorizes, so the two must agree bit for bit.
 """
@@ -158,6 +159,25 @@ def winding_number(points: list[complex], center: complex) -> float:
     for p, q in zip(points, points[1:]):
         total += cmath.phase((q - center) / (p - center))
     return total / (2.0 * cmath.pi)
+
+
+def three_term_variation(poles: list[complex], letters: tuple, k: int) -> dict[tuple, complex]:
+    """Genus-0 derivative of Li_letters in the pole of the interior letter
+    ``letters[k]`` (0-based, pairwise distinct letters; ``poles[a]`` is the
+    pole of letter a), its fusion coefficients written out directly.
+
+    Dropping the previous letter costs 1/(P_prev - P_k), dropping the next
+    costs 1/(P_k - P_next), and dropping the moved letter itself costs minus
+    the sum of the two.
+    """
+    p_prev, p_here, p_next = (poles[a] for a in letters[k - 1 : k + 2])
+    c_prev = 1.0 / (p_prev - p_here)
+    c_next = 1.0 / (p_here - p_next)
+    return {
+        letters[: k - 1] + letters[k:]: c_prev,
+        letters[: k + 1] + letters[k + 2 :]: c_next,
+        letters[:k] + letters[k + 1 :]: -(c_prev + c_next),
+    }
 
 
 def central_difference(f, x: float, h: float):

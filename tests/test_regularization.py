@@ -253,6 +253,18 @@ class TestRegIterated:
             assert type(rt.value(w)) is complex, w
         assert type(reg_iterated(p, word(0, 1), b)) is complex
 
+    def test_second_extend_reuses_the_split_plan(self, sphere01):
+        # the assembled support is ordered as the full plan orders its words,
+        # so a product onto it keeps it and every extend gathers by one plan
+        _, b = sphere01
+        rt = RegularizedTransport.along(
+            line_path(0.0, 0.4 + 0.3j), b, words=[word(0, 1, 1), word(1, 0)], puncture=0
+        )
+        rt.extend(LineSegment(0.4 + 0.3j, 0.5 + 0.1j))
+        misses = transport_mod._split_plan.cache_info().misses
+        rt.extend(LineSegment(0.5 + 0.1j, 0.6 + 0.2j))
+        assert transport_mod._split_plan.cache_info().misses == misses
+
     def test_unrequested_word_raises(self, sphere01):
         # the tails of a requested word are readable; any other word raises
         _, b = sphere01
@@ -618,6 +630,29 @@ class TestTolerance:
         _, b = sphere01
         with pytest.raises(ConfigError, match="tol must be positive and finite"):
             self.CALLS[entry](b, tol)
+
+
+class TestErrorType:
+    """Every reported error is a Python float, as every value is a Python
+    complex."""
+
+    RESULTS = {
+        "TransportResult": lambda b: transport_series(line_path(0.2 + 0.1j, 0.8), b, depth=2),
+        "IntegralResult": lambda b: iterated_integral(
+            line_path(0.2 + 0.1j, 0.8), word(0, 1), b
+        ),
+        "RegularizedTransport": lambda b: RegularizedTransport.along(
+            line_path(0.0, 0.5), b, depth=2, puncture=0
+        ),
+        "RegularizedValue": lambda b: reg_line_integral(line_path(0.0, 0.5), 1, b),
+        "AsymptoticExpansion": lambda b: asymptotic_expansion(b, 1, 0, zeta_word(2)),
+        "AssociatorSeries": lambda b: associator(b, 1, 0, depth=2),
+    }
+
+    @pytest.mark.parametrize("result", sorted(RESULTS))
+    def test_error_is_a_float(self, sphere01, result):
+        _, b = sphere01
+        assert type(self.RESULTS[result](b).error) is float
 
 
 class TestSeriesOwnership:
