@@ -17,8 +17,9 @@ letter): the solve plan of V's set, used at the start, and of the
 factor-closed set transported after it, the support of the assembled series
 (the requested words and their tails), and every word's decomposition as
 flat (word, power, column of V, multiplicity) arrays.  Assembly is one
-gather from V and one fixed-order sum per word; later segments multiply the
-assembled series by their transports.
+gather from V and one sum of each word's terms, by the row sums the series
+product uses; later segments multiply the assembled series by their
+transports.
 
 Limits toward a second puncture are taken on a geometric radius ladder: the
 values carry powers of log r whose coefficients are recovered by weighted
@@ -70,6 +71,7 @@ from .transport import (
     _adaptive_segment,
     _check_tol,
     _intern,
+    _row_sums,
     _solve_plan,
     _transport_segment,
     all_words,
@@ -232,7 +234,8 @@ class _AssemblyPlan:
     every other piece is solved on.  Each word's decomposition is flattened
     into terms, grouped by word and ordered by power: ``row`` (position in
     ``support``), ``power``, ``column`` (position in ``v_plan``'s support)
-    and ``multiplicity``.  ``depth`` is the longest requested length.
+    and ``multiplicity``; ``_row_sums`` adds each row's terms in that order.
+    ``depth`` is the longest requested length.
     """
 
     support: _Support
@@ -289,9 +292,7 @@ def _assemble(plan: _AssemblyPlan, v: NcSeries, lam: complex) -> NcSeries:
     assert v.support is plan.v_plan.support
     lam_powers = np.array([lam ** i / math.factorial(i) for i in range(plan.depth + 1)])
     terms = v.values[plan.column] * plan.multiplicity * lam_powers[plan.power]
-    # bincount adds each word's terms one after another, in plan order
-    n = len(plan.support)
-    values = np.bincount(plan.row, terms.real, n) + 1j * np.bincount(plan.row, terms.imag, n)
+    values = _row_sums(plan.row, terms, len(plan.support))
     return NcSeries._of(plan.support, values, plan.depth)
 
 
@@ -380,14 +381,10 @@ class RegularizedTransport:
 
     def value(self, w) -> complex:
         """Regularized iterated integral of a word or generalized word."""
-        series = self._series
-        total = 0j
-        for wd, c in _as_gw(w).items():
-            k = series.support.position.get(wd)
-            if k is None:
-                raise MissingLabelError(f"word {wd} was not part of the transported set")
-            total += c * series.values.item(k)
-        return total
+        try:
+            return self._series.coefficient(_as_gw(w))
+        except KeyError as e:
+            raise MissingLabelError(e.args[0]) from None
 
     def series(self) -> NcSeries:
         """The requested words and their tails as a series."""

@@ -24,11 +24,11 @@ A series is a complex array over a support, an interned tuple of words
 it on first access.  Every plan is compiled once and cached on the supports
 themselves, compared by identity, so a warm request hashes no word.  A
 product compiles its pair of supports into a split plan, the support
-positions of u and v for every split u|v of every computable word and the
-support of the result (one of the factors' own when the surviving words are
-theirs), and then gathers, multiplies and sums the splits of each word
-length in numpy, adding them in the order a scalar loop would.  The inverse
-runs a plan of the same splits, one word length at a time.
+positions of u and v and the row of the word for every split u|v of every
+computable word, and the support of the result (one of the factors' own
+when the surviving words are theirs); it gathers and multiplies all splits
+at once and sums each row's terms in the order a scalar loop would.  The
+inverse runs a plan of the same splits, one word length at a time.
 
 Each segment is integrated on 16 Gauss-Legendre nodes with a spectral
 integration matrix, nested over word length, and bisected adaptively until
@@ -167,17 +167,17 @@ class _SplitPlan(NamedTuple):
 
     ``support`` holds the surviving words, shortest first and in left-support
     order within a length; ``index`` is each one's position in the left
-    support.  ``left`` and ``right`` hold the support positions of u and v
-    for every split.  ``levels`` has one (length n, first word, end word,
-    first split) per word length; that length's splits form an (n + 1, m)
-    block over its m words, u shortest first down the rows.
+    support.  ``left``, ``right`` and ``row`` hold, for every split, the
+    support positions of u and v and the position of its word in
+    ``support``; the splits of one word are stored together, u shortest
+    first.
     """
 
     support: _Support
     index: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    levels: tuple[tuple[int, int, int, int], ...]
+    row: np.ndarray
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -191,7 +191,7 @@ def _split_plan(left_support: _Support, right_support: _Support, depth: int) -> 
     """
     lpos = {w.letters: k for k, w in enumerate(left_support.words)}
     rpos = {w.letters: k for k, w in enumerate(right_support.words)}
-    kept: dict[int, list] = {}
+    kept = []
     for k, w in enumerate(left_support.words):
         ls = w.letters
         n = len(ls)
@@ -200,20 +200,17 @@ def _split_plan(left_support: _Support, right_support: _Support, depth: int) -> 
         us = [lpos.get(ls[:i]) for i in range(n + 1)]
         vs = [rpos.get(ls[i:]) for i in range(n + 1)]
         if None not in us and None not in vs:
-            kept.setdefault(n, []).append((k, w, us, vs))
-    words, index, left, right, levels = [], [], [], [], []
-    for n in sorted(kept):
-        group = kept[n]
-        levels.append((n, len(words), len(words) + len(group), len(left)))
-        words += [w for _, w, _, _ in group]
-        index += [k for k, _, _, _ in group]
-        for i in range(n + 1):
-            left += [us[i] for _, _, us, _ in group]
-            right += [vs[i] for _, _, _, vs in group]
-    arrays = [np.array(a, dtype=np.intp) for a in (index, left, right)]
+            kept.append((k, w, us, vs))
+    kept.sort(key=lambda t: len(t[1]))  # stable: left-support order within a length
+    words = tuple(w for _, w, _, _ in kept)
+    index = [k for k, _, _, _ in kept]
+    left = [u for _, _, us, _ in kept for u in us]
+    right = [v for _, _, _, vs in kept for v in vs]
+    row = [r for r, (_, _, us, _) in enumerate(kept) for _ in us]
+    arrays = [np.array(a, dtype=np.intp) for a in (index, left, right, row)]
     for a in arrays:
         a.flags.writeable = False
-    return _SplitPlan(_reuse(tuple(words), left_support, right_support), *arrays, tuple(levels))
+    return _SplitPlan(_reuse(words, left_support, right_support), *arrays)
 
 
 def _reuse(words: tuple[Word, ...], *candidates: _Support) -> _Support:
@@ -228,38 +225,41 @@ class _InversePlan(NamedTuple):
     """The inverse of a support, compiled from its split plan with itself.
 
     ``empty`` is the empty word's position in the support, None when it is
-    missing.  ``levels`` has one (positions, u, v) per word length 1, 2, ...
-    over the words whose every split u|v, u != w, has u defined: their
-    positions in the support and the (n, m) blocks of the positions of u and
-    v.  ``index`` holds the positions of the words that keep a coefficient,
-    the words of ``support``.
+    missing.  ``levels`` has one (positions, u, v, row) per word length 1,
+    2, ... over the words whose every split u|v, u != w, has u defined:
+    their positions in the support, and for each of those splits the
+    positions of u and v and its word's row in ``positions``.  ``index``
+    holds the positions of the words that keep a coefficient, the words of
+    ``support``.
     """
 
     support: _Support
     empty: int | None
-    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     index: np.ndarray
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _inverse_plan(support: _Support, depth: int) -> _InversePlan:
     plan = _split_plan(support, support, depth)
+    # the empty word, when present, is the first survivor; without it none survive
+    empty = int(plan.index[0]) if len(plan.index) else None
     defined = np.zeros(len(support), dtype=bool)
-    empty = None
+    defined[plan.index[:1]] = True
+    lengths = np.array([len(w) for w in plan.support.words], dtype=np.intp)
+    # every split but each word's last, u = w
+    proper = np.flatnonzero(plan.row[1:] == plan.row[:-1])
+    proper_length = lengths[plan.row[proper]]
     levels = []
-    for n, lo, hi, first in plan.levels:
-        pos = plan.index[lo:hi]
-        if n == 0:
-            empty = int(pos[0])
-            defined[pos] = True
-            continue
-        # drop the last split, the one with u = w
-        block = slice(first, first + (n + 1) * (hi - lo))
-        u = plan.left[block].reshape(n + 1, hi - lo)[:-1]
-        v = plan.right[block].reshape(n + 1, hi - lo)[:-1]
-        ok = defined[u].all(axis=0)
-        levels.append((pos[ok], u[:, ok], v[:, ok]))
-        defined[pos[ok]] = True
+    for n in sorted(set(lengths[1:].tolist())):
+        split = proper[proper_length == n]
+        u, v, row = plan.left[split], plan.right[split], plan.row[split]
+        ok = lengths == n
+        ok[row[~defined[u]]] = False
+        keep = ok[row]
+        pos = plan.index[ok]
+        levels.append((pos, u[keep], v[keep], (np.cumsum(ok) - 1)[row[keep]]))
+        defined[pos] = True
     ok = defined[plan.index]
     words = tuple(compress(plan.support.words, ok))
     return _InversePlan(_reuse(words, support), empty, tuple(levels), plan.index[ok])
@@ -277,16 +277,18 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sum_rows(block: np.ndarray) -> np.ndarray:
-    """Sum of the rows of a 2-d array, added one after another.
+def _row_sums(row: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """The sum of the complex ``terms`` of each row 0, ..., n - 1.
 
-    numpy's own reductions sum some shapes pairwise, so a word's coefficient
-    would change in its last bits with the number of words of its length.
+    ``np.bincount`` adds a row's terms one after another in array order,
+    starting from +0.0, as a scalar loop would.  numpy's reductions,
+    ``np.add.reduceat`` among them, sum pairwise, so a coefficient would
+    change in its last bits with the number of its terms.
     """
-    total = block[0].copy()
-    for row in block[1:]:
-        total += row
-    return total
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(row, terms.real, n)
+    out.imag = np.bincount(row, terms.imag, n)
+    return out
 
 
 class NcSeries:
@@ -350,11 +352,7 @@ class NcSeries:
         depth = min(self.depth, other.depth)
         plan = _split_plan(self.support, other.support, depth)
         terms = _mul(self.values[plan.left], other.values[plan.right])
-        sums = np.empty(len(plan.support), dtype=complex)
-        for n, lo, hi, first in plan.levels:
-            block = terms[first : first + (n + 1) * (hi - lo)]
-            sums[lo:hi] = _sum_rows(block.reshape(n + 1, hi - lo))
-        return NcSeries._of(plan.support, sums, depth)
+        return NcSeries._of(plan.support, _row_sums(plan.row, terms, len(plan.support)), depth)
 
     def invert(self) -> "NcSeries":
         """Inverse series, one word length at a time: L^-1[()] = 1/c0 and
@@ -372,8 +370,8 @@ class NcSeries:
         c = self.values
         inv = np.zeros(len(self.support), dtype=complex)
         inv[plan.empty] = 1.0 / c0
-        for pos, u, v in plan.levels:
-            inv[pos] = -_sum_rows(_mul(inv[u], c[v])) / c0
+        for pos, u, v, row in plan.levels:
+            inv[pos] = -_row_sums(row, _mul(inv[u], c[v]), len(pos)) / c0
         return NcSeries._of(plan.support, inv[plan.index], self.depth)
 
     def max_abs_diff(self, other: "NcSeries", words: Iterable[Word] | None = None) -> float:

@@ -168,8 +168,11 @@ def random_sphere_request(rng: random.Random) -> VariationRequest:
 
 def random_torus_basis(rng: random.Random, tau: complex) -> FormBasis:
     """Four punctures pairwise at least 0.3 apart mod the lattice, the first
-    at 0, with the basis dz, (1,0), (3,2), (0,2) of pairwise-disjoint pole
-    pairs; a draw that cannot place all four in 200 tries starts over, and
+    at 0, with the basis dz, (1,0), (3,2), (0,2) (letters 0 to 3).  The pole
+    pairs (1,0) and (3,2) are disjoint, but (0,2) shares puncture 0 with
+    (1,0) and puncture 2 with (3,2); the word (0, 1, 2) that
+    ``random_torus_request`` draws, with letter 1 moved, avoids every shared
+    pole.  A draw that cannot place all four in 200 tries starts over, and
     after ``_MAX_DRAWS`` draws the modulus is rejected."""
     for _ in range(_MAX_DRAWS):
         pts = [0j]

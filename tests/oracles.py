@@ -46,7 +46,10 @@ def ref_product(left: dict, right: dict, depth: int) -> dict:
             continue
         splits = [(left.get(w[:i]), right.get(w[i:])) for i in range(len(w) + 1)]
         if all(u is not None and v is not None for u, v in splits):
-            out[w] = sum(u * v for u, v in splits)
+            total = 0j  # added one after another, on every Python version
+            for u, v in splits:
+                total += u * v
+            out[w] = total
     return out
 
 

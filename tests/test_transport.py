@@ -1,6 +1,7 @@
 """Quadrature engine, noncommutative series, path transport."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -168,18 +169,24 @@ class TestNcSeries:
     @pytest.mark.parametrize("seed", range(12))
     def test_product_and_invert_match_reference(self, seed):
         # random supports: mismatched between the factors, rarely
-        # factor-closed, sometimes without the empty word; then the cases
-        # interned supports add: a product as the next factor, a series
-        # rebuilt from an equal dict, equal words on distinct supports
+        # factor-closed, sometimes without the empty word, with exact zeros
+        # of either sign; then the cases interned supports add: a product as
+        # the next factor, a series rebuilt from an equal dict, equal words
+        # on distinct supports, and a factor-closed sub-support
         rng = random.Random(seed)
         letters = rng.choice((2, 3))
+
+        def coefficient():
+            if rng.random() < 0.5:
+                return complex(*[rng.choice((0.0, -0.0))] * 2)
+            return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
         def draw():
             depth = rng.randint(2, 4)
             coeffs = {}
             for w in all_words(range(letters), depth):
                 if rng.random() < (0.9 if w.is_empty else 0.75):
-                    coeffs[w] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    coeffs[w] = coefficient()
             if EMPTY_WORD in coeffs:
                 coeffs[EMPTY_WORD] += 2.0
             return NcSeries(coeffs, depth)
@@ -187,14 +194,18 @@ class TestNcSeries:
         def plain(s):
             return {w.letters: c for w, c in s.coeffs.items()}
 
+        def bits(z):
+            # the value and the sign of each part, so that 0.0 != -0.0
+            return [(x, math.copysign(1.0, x)) for x in (z.real, z.imag)]
+
         def check_product(x, y):
             series = x.product(y)
             got = plain(series)
             want = ref_product(plain(x), plain(y), min(x.depth, y.depth))
             assert list(got) == list(want)
-            # same splits summed in the same order; only a platform that
-            # fuses multiply-adds on one side may move the last bits
-            assert all(abs(got[w] - want[w]) < 1e-14 for w in want)
+            # the same splits summed in the same order from +0.0, so the
+            # same bits, down to the sign of a zero sum
+            assert all(bits(got[w]) == bits(want[w]) for w in want)
             return series
 
         def check_invert(x):
@@ -221,6 +232,13 @@ class TestNcSeries:
         check_product(reordered, reordered)
         check_product(reordered, a)
         check_invert(reordered)
+        # a word's sum does not depend on the other words of the support
+        words = all_words(range(letters), 4)
+        full_x, full_y = (NcSeries({w: coefficient() for w in words}, 4) for _ in range(2))
+        sub = factor_closure(rng.sample(words, 4))
+        sub_x, sub_y = (NcSeries({w: s.coeffs[w] for w in sub}, 4) for s in (full_x, full_y))
+        full, restricted = plain(full_x.product(full_y)), plain(check_product(sub_x, sub_y))
+        assert all(bits(c) == bits(full[w]) for w, c in restricted.items())
         # the same words on a distinct support object, as after the intern
         # cache lets a support go
         transport_mod._intern.cache_clear()
@@ -391,6 +409,38 @@ class TestTransportProperties:
         assert fine_diff < 1e-8
         assert coarse.error >= coarse_diff
         assert fine.error >= fine_diff
+
+
+class TestTorusRelations:
+    def test_fundamental_group_relations(self):
+        # the forms are elliptic, so the boundary of a period parallelogram
+        # with corner c transports as B^-1 A^-1 B A, with A and B the
+        # transports from c to c + 1 and to c + tau; it is also the product
+        # of the loops around the punctures based at c, taken in increasing
+        # angle from c (puncture 1 first, then 0, then 2), and no other order
+        tau = 0.1 + 1.05j
+        s = SurfaceConfig(1, (0.0, 0.45, 0.25 + 0.35j), tau=tau)
+        b = FormBasis.genus1(s)
+        c = -0.2 - 0.15j
+        corners = [c, c + 1, c + 1 + tau, c + tau, c]
+        boundary = Path(tuple(LineSegment(x, y) for x, y in zip(corners, corners[1:])))
+
+        def transport(path):
+            return transport_series(path, b, depth=3).series
+
+        total = transport(boundary)
+        a, bb = transport(line_path(c, c + 1)), transport(line_path(c, c + tau))
+        commutator = bb.invert().product(a.invert()).product(bb).product(a)
+        assert total.max_abs_diff(commutator) < 1e-13
+        loops = [transport(loop_around(LoopSpec(k, 1, basepoint=c), s)) for k in range(3)]
+        for order in itertools.permutations(range(3)):
+            product = loops[order[0]]
+            for k in order[1:]:
+                product = loops[k].product(product)
+            if order == (1, 0, 2):
+                assert total.max_abs_diff(product) < 1e-12
+            else:
+                assert total.max_abs_diff(product) > 1, order
 
 
 class TestBatchedSolve:
