@@ -10,16 +10,19 @@ shuffle decomposition.  On the segment that starts at the puncture
          (their innermost integrals converge),
     lam  is the regularized line integral of the distinguished form,
 
-and every word assembles as  sum_i lam^i/i! * V[w(i)].  A request is
-compiled once per distinguished letter into an assembly plan (memoized in a
-bounded cache; a ``depth=`` request finds it by alphabet size, depth and
-letter): the solve plan of V's set, used at the start, and of the
-factor-closed set transported after it, the support of the assembled series
-(the requested words and their tails), and every word's decomposition as
-flat (word, power, column of V, multiplicity) arrays.  Assembly is one
-gather from V and one sum of each word's terms, by the row sums the series
-product uses; later segments multiply the assembled series by their
-transports.
+and a ``words=`` request assembles every word as  sum_i lam^i/i! * V[w(i)].
+It is compiled once per distinguished letter into an assembly plan
+(memoized in a bounded cache): the solve plan of V's set, used at the start,
+and of the factor-closed set transported after it, the support of the
+assembled series (the requested words and their tails), and every word's
+decomposition as flat (word, power, column of V, multiplicity) arrays.  The
+decompositions of one compile share one shuffle memo, which is dropped with
+it.  A ``depth=`` request holds every word up to its depth, so it needs no
+decomposition: the series is group-like, and its plan (found by alphabet
+size, depth and letter) completes it from V one trailing-run length at a
+time.  Either assembly is one gather and one sum of each word's terms per
+step, by the row sums the series product uses; later segments multiply the
+assembled series by their transports.
 
 Limits toward a second puncture are taken on a geometric radius ladder: the
 values carry powers of log r whose coefficients are recovered by weighted
@@ -71,6 +74,7 @@ from .transport import (
     _adaptive_segment,
     _check_tol,
     _intern,
+    _mul,
     _row_sums,
     _solve_plan,
     _transport_segment,
@@ -85,6 +89,7 @@ from .words import (
     Word,
     _as_gw,
     _decomposition,
+    _trailing_run,
     decompose_leading,
     word,
 )
@@ -222,20 +227,22 @@ def reg_line_integral(
 
 @dataclass(frozen=True, eq=False)
 class _AssemblyPlan:
-    """A request compiled for assembly at one distinguished letter.
+    """A ``words=`` request compiled for assembly at one distinguished letter.
 
-    ``support`` holds the requested words and their tails, the empty word
-    among them, by length and then by letters: the order of ``full_plan``'s
-    words, so a transport on ``full_plan`` times the series keeps this
-    support, and every ``extend`` reuses one split plan.  ``v_plan``
-    solves the tail closure of the decomposition's parts (none of which ends
-    in the letter), the set the start piece is solved on; ``full_plan`` the
-    factor closure of the requested words, the parts and the letter, the set
-    every other piece is solved on.  Each word's decomposition is flattened
-    into terms, grouped by word and ordered by power: ``row`` (position in
-    ``support``), ``power``, ``column`` (position in ``v_plan``'s support)
-    and ``multiplicity``; ``_row_sums`` adds each row's terms in that order.
-    ``depth`` is the longest requested length.
+    A ``depth=`` request compiles a :class:`_GroupLikePlan` instead, which
+    decomposes no word.  ``support`` holds the requested words and their
+    tails, the empty word among them, by length and then by letters: the
+    order of ``full_plan``'s words, so a transport on ``full_plan`` times the
+    series keeps this support, and every ``extend`` reuses one split plan.
+    ``v_plan`` solves the tail closure of the decomposition's parts (none of
+    which ends in the letter), the set the start piece is solved on;
+    ``full_plan`` the factor closure of the requested words, the parts and
+    the letter, the set every other piece is solved on.  Each word's
+    decomposition is flattened into terms, grouped by word and ordered by
+    power: ``row`` (position in ``support``), ``power``, ``column``
+    (position in ``v_plan``'s support) and ``multiplicity``; ``_row_sums``
+    adds each row's terms in that order.  ``depth`` is the longest
+    requested length.
     """
 
     support: _Support
@@ -247,16 +254,29 @@ class _AssemblyPlan:
     column: np.ndarray
     multiplicity: np.ndarray
 
+    def assemble(self, v: NcSeries, lam: complex) -> tuple[NcSeries, float]:
+        """The regularized series on ``support``: every word is
+        sum_i lam^i/i! * V[w(i)] over its compiled shuffle decomposition,
+        with ``v`` (V) on the support of ``v_plan``.  The rounding of these
+        sums is not bounded: the second value is 0."""
+        assert v.support is self.v_plan.support
+        lam_powers = np.array([lam ** i / math.factorial(i) for i in range(self.depth + 1)])
+        terms = v.values[self.column] * self.multiplicity * lam_powers[self.power]
+        values = _row_sums(self.row, terms, len(self.support))
+        return NcSeries._of(self.support, values, self.depth), 0.0
+
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _assembly_plan(requested: tuple[Word, ...], kj: int) -> _AssemblyPlan:
     """Compile distinct requested words for assembly at the letter ``kj``.
 
     The parts of the tails' decompositions are tails of the requested words'
-    parts, so adding the tails changes neither solve plan.
+    parts, so adding the tails changes neither solve plan.  The shuffles of
+    the decompositions share one memo, dropped with the compile.
     """
     words = tuple(tail_closure(requested))
-    parts = [_decomposition(w.letters, kj) for w in words]
+    memo: dict = {}
+    parts = [_decomposition(w.letters, kj, memo) for w in words]
     part_words = {u for d in parts for _, terms in d for u, _ in terms}
     v_plan = _solve_plan(tuple(tail_closure(part_words)))
     full_plan = _solve_plan(tuple(factor_closure([*requested, *part_words, word(kj)])))
@@ -279,21 +299,110 @@ def _assembly_plan(requested: tuple[Word, ...], kj: int) -> _AssemblyPlan:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _GroupLikePlan:
+    """Every word up to ``depth`` compiled for assembly by group-like completion.
+
+    The regularized series F is group-like and F[j] = lam for the
+    distinguished letter j, so R = F * exp(-lam x_j) is group-like with
+    R[j] = 0, and F[w] = sum_i R[w minus j^i] * lam^i/i! over the trailing
+    runs j^i of w.  R agrees with V on the words not ending in j.  For v not
+    ending in j, R[v j^(k-1)] R[j] = 0 is the sum of R over the insertions
+    of one j into v j^(k-1): the k insertions into the trailing run give
+    v j^k, and the others, v[:g] j v[g:] j^(k-1) with g < |v|, have the
+    run k - 1.  So
+
+        R[v j^k] = -(1/k) * sum over g < |v| of  R[v[:g] j v[g:] j^(k-1)],
+
+    one row sum per run length k, and R[j^k] = 0.  No word needs a shuffle
+    or its own decomposition.  (The relation R[v] R[j^k] = 0 gives R[v j^k]
+    too, but it sums every word of v ш j^k: at depth 12 its plan compiles
+    6 times slower, and F rounds about 10 times worse.)
+
+    ``support``, ``v_plan`` (the words not ending in j) and ``full_plan``
+    are those of the decomposition plan of the same words, in the same
+    order.  ``v_rows`` holds the positions in ``support`` of ``v_plan``'s
+    words.  ``levels`` has one (positions, row, source) per run length
+    k = 1, 2, ...: the positions of the words v j^k, and for each term of
+    their sums the word's row in ``positions`` and the position of the
+    inserted word.  ``row``, ``source`` and ``power`` hold, for each term
+    R[w minus j^i] * lam^i/i! of each word, the word's position, the
+    position of w minus j^i and i.  ``uses`` counts, for each word, the
+    terms of the recursion that read it.
+
+    The rounding of F is estimated as eps times the sum of the moduli of
+    every term the recursion and the gather add, the recursion's scaled by
+    sum_i |lam^i/i!|, the most by which an error bounded in R can grow in F.
+    Against an mpmath run of the same sums from the same V, that is 40 to
+    100 times the largest rounding error of F at depths 8, 10 and 12 on the
+    sphere {0, 1}.
+    """
+
+    support: _Support
+    depth: int
+    v_plan: _SolvePlan
+    full_plan: _SolvePlan
+    v_rows: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    row: np.ndarray
+    source: np.ndarray
+    power: np.ndarray
+    uses: np.ndarray
+
+    def assemble(self, v: NcSeries, lam: complex) -> tuple[NcSeries, float]:
+        """The regularized series on ``support`` from V (``v``, on the
+        support of ``v_plan``) and lam, and the estimate of its rounding."""
+        assert v.support is self.v_plan.support
+        n = len(self.support)
+        r = np.zeros(n, dtype=complex)
+        r[self.v_rows] = v.values
+        for k, (pos, row, source) in enumerate(self.levels, 1):
+            r[pos] = _row_sums(row, r[source], len(pos)) / -k
+        lam_powers = np.array([lam ** i / math.factorial(i) for i in range(self.depth + 1)])
+        terms = _mul(r[self.source], lam_powers[self.power])
+        values = _row_sums(self.row, terms, n)
+        moduli = (np.abs(r) @ self.uses) * np.abs(lam_powers).sum() + np.abs(terms).sum()
+        return NcSeries._of(self.support, values, self.depth), float(np.finfo(float).eps * moduli)
+
+
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _depth_assembly_plan(n_forms: int, depth: int, kj: int) -> _AssemblyPlan:
-    """The assembly plan of every word over ``n_forms`` letters up to ``depth``."""
-    return _assembly_plan(tuple(all_words(range(n_forms), depth)), kj)
-
-
-def _assemble(plan: _AssemblyPlan, v: NcSeries, lam: complex) -> NcSeries:
-    """The regularized series on ``plan.support``: every word is
-    sum_i lam^i/i! * V[w(i)] over its compiled shuffle decomposition, with
-    ``v`` (V) on the support of ``plan.v_plan``."""
-    assert v.support is plan.v_plan.support
-    lam_powers = np.array([lam ** i / math.factorial(i) for i in range(plan.depth + 1)])
-    terms = v.values[plan.column] * plan.multiplicity * lam_powers[plan.power]
-    values = _row_sums(plan.row, terms, len(plan.support))
-    return NcSeries._of(plan.support, values, plan.depth)
+def _depth_assembly_plan(n_forms: int, depth: int, kj: int) -> _GroupLikePlan:
+    """The group-like plan of every word over ``n_forms`` letters up to ``depth``."""
+    words = tuple(sorted(all_words(range(n_forms), depth), key=lambda w: (len(w), w.letters)))
+    run = [_trailing_run(w.letters, kj) for w in words]
+    v_plan = _solve_plan(tuple(w for w, k in zip(words, run) if not k))
+    full_plan = _solve_plan(words)  # every word up to the depth: factor-closed
+    position = {w.letters: p for p, w in enumerate(words)}
+    uses = [0] * len(words)
+    levels = []
+    for k in range(1, depth + 1):
+        jk1 = (kj,) * (k - 1)
+        targets = [p for p, n in enumerate(run) if n == k]
+        row, source = [], []
+        for r, p in enumerate(targets):
+            v = words[p].letters[:-k]
+            for g in range(len(v)):
+                s = position[v[:g] + (kj,) + v[g:] + jk1]
+                row.append(r)
+                source.append(s)
+                uses[s] += 1
+        levels.append(tuple(np.array(a, dtype=np.intp) for a in (targets, row, source)))
+    row, source, power = [], [], []
+    for p, w in enumerate(words):
+        for i in range(run[p] + 1):
+            row.append(p)
+            source.append(position[w.letters[: len(w) - i]])
+            power.append(i)
+    return _GroupLikePlan(
+        _intern(words),
+        depth,
+        v_plan,
+        full_plan,
+        np.array([position[w.letters] for w in v_plan.support.words], dtype=np.intp),
+        tuple(levels),
+        *(np.array(a, dtype=np.intp) for a in (row, source, power)),
+        np.array(uses, dtype=float),
+    )
 
 
 class RegularizedTransport:
@@ -304,14 +413,15 @@ class RegularizedTransport:
     each later segment (:meth:`extend`) multiplies it by its transport.
     :meth:`value` and :meth:`series` read the requested words and their
     tails, the empty word among them; any other word raises
-    :class:`MissingLabelError`.
+    :class:`MissingLabelError`.  :attr:`error` adds the quadrature estimates
+    and, for a ``depth=`` request, the estimate of the assembly's rounding.
     """
 
     def __init__(
         self,
         basis: FormBasis,
         ctx: GoodPunctureCtx,
-        plan: _AssemblyPlan,
+        plan: _AssemblyPlan | _GroupLikePlan,
         series: NcSeries,
         end: complex,
         error: float,
@@ -355,8 +465,8 @@ class RegularizedTransport:
         seg_tol = tol / len(segs)
         v, err = _transport_segment(basis, segs[0], plan.full_plan, plan.v_plan, j, seg_tol)
         reg = reg_line_integral(Path((segs[0],)), ctx.form_label, basis, tol=seg_tol)
-        series = _assemble(plan, v, reg.value)
-        out = cls(basis, ctx, plan, series, segs[0].point(1.0), err + reg.error, tol)
+        series, rounding = plan.assemble(v, reg.value)
+        out = cls(basis, ctx, plan, series, segs[0].point(1.0), err + reg.error + rounding, tol)
         for seg in segs[1:]:
             out.extend(seg, tol=seg_tol)
         return out

@@ -30,11 +30,11 @@ when the surviving words are theirs); it gathers and multiplies all splits
 at once and sums each row's terms in the order a scalar loop would.  The
 inverse runs a plan of the same splits, one word length at a time.
 
-Each segment is integrated on 16 Gauss-Legendre nodes with a spectral
-integration matrix, nested over word length, and bisected adaptively until
-direct and composed evaluations agree to tolerance; a child piece reuses
-its parent's solve of it as its own direct evaluation.  A word set is
-compiled once into a solve plan (memoized in a bounded cache, and looked up
+Each segment is integrated on 16 Gauss-Legendre nodes (a literal table)
+with a spectral integration matrix, nested over word length, and bisected
+adaptively until direct and composed evaluations agree to tolerance; a child
+piece reuses its parent's solve of it as its own direct evaluation.  A word
+set is compiled once into a solve plan (memoized in a bounded cache, and looked up
 once per segment; a ``depth=`` request finds it by alphabet size and depth):
 its support, its first letters and, for each word length, the rows of the
 words' first letters and of their tails in the previous length.  A
@@ -67,15 +67,37 @@ _MAX_LEVEL = 30
 _PLAN_CACHE_SIZE = 32
 
 
+# The 16-point Gauss-Legendre rule on [0, 1] as (node, weight) pairs:
+# 0.5 * (x + 1) and 0.5 * w for numpy's leggauss(16) nodes x and weights w,
+# written exactly, so that numpy.polynomial need not be imported.
+_GAUSS_LEGENDRE_16 = (
+    ("0x1.5b4f66ca1e080p-8", "0x1.bcddab4b7c228p-7"),
+    ("0x1.c60a99e906500p-6", "0x1.fdfb1a2c1261ep-6"),
+    ("0x1.132ff2bac6df4p-4", "0x1.85c4ee79cc24bp-5"),
+    ("0x1.f4ee8896e3654p-4", "0x1.fe7af2bad3878p-5"),
+    ("0x1.874b732542e90p-3", "0x1.325f61bca3cbep-4"),
+    ("0x1.157ed32de2c47p-2", "0x1.5a6ebbb5a7600p-4"),
+    ("0x1.6fd1a8cdee642p-2", "0x1.75f8c77e0c011p-4"),
+    ("0x1.cf5a853312ac1p-2", "0x1.83feae80e4e01p-4"),
+    ("0x1.1852bd6676aa0p-1", "0x1.83feae80e4e01p-4"),
+    ("0x1.48172b9908cdfp-1", "0x1.75f8c77e0c011p-4"),
+    ("0x1.754096690e9dcp-1", "0x1.5a6ebbb5a7600p-4"),
+    ("0x1.9e2d2336af45cp-1", "0x1.325f61bca3cbep-4"),
+    ("0x1.c1622eed23936p-1", "0x1.fe7af2bad3878p-5"),
+    ("0x1.dd9a01a8a7242p-1", "0x1.85c4ee79cc24bp-5"),
+    ("0x1.f1cfab30b7cd8p-1", "0x1.fdfb1a2c1261ep-6"),
+    ("0x1.fd4961326bc3fp-1", "0x1.bcddab4b7c228p-7"),
+)
+
+
 def _build_quadrature() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes on [0,1], the end-row (plain weights), and the integration
     matrix Q with Q[q, p] = integral of the p-th Lagrange basis polynomial
     from 0 to node q (exact: degree-15 integrands, 16-point rows), as
     nodes[q] * sum_i weights[i] * l_p(nodes[q] * nodes[i]) over all (q, i, p)
     at once, in the order of a scalar loop: r ascending in l_p, then i."""
-    x, w = np.polynomial.legendre.leggauss(_N_NODES)
-    nodes = 0.5 * (x + 1.0)
-    weights = 0.5 * w
+    nodes = np.array([float.fromhex(x) for x, _ in _GAUSS_LEGENDRE_16])
+    weights = np.array([float.fromhex(w) for _, w in _GAUSS_LEGENDRE_16])
     inner = nodes[:, None, None] * nodes[None, :, None]
     lagrange = np.ones((_N_NODES, _N_NODES, _N_NODES))
     for r in range(_N_NODES):

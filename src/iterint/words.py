@@ -15,7 +15,6 @@ the letter at index -1 is integrated first at the path start; see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Iterable, Iterator, Mapping
 
 FormLabel = int
@@ -173,29 +172,34 @@ def _as_gw(w: Word | GeneralizedWord | Iterable[FormLabel]) -> GeneralizedWord:
     return GeneralizedWord.of(w)
 
 
-_SHUFFLE_CACHE_SIZE = 4096
+def _shuffle_letters(a: tuple, b: tuple, memo: dict) -> tuple[tuple[tuple, int], ...]:
+    """The shuffle of two letter tuples as sorted (letters, multiplicity) pairs.
 
-
-@lru_cache(maxsize=_SHUFFLE_CACHE_SIZE)
-def _shuffle_letters(a: tuple, b: tuple) -> tuple[tuple[tuple, int], ...]:
+    ``memo`` holds the shuffles of the sub-pairs found so far.  A caller
+    passes one dict for all the shuffles of one request, so that they share
+    their sub-pairs and nothing is kept after it.
+    """
     if not a:
         return ((b, 1),)
     if not b:
         return ((a, 1),)
-    acc: dict[tuple, int] = {}
-    for tail, mult in _shuffle_letters(a[1:], b):
-        key = (a[0],) + tail
-        acc[key] = acc.get(key, 0) + mult
-    for tail, mult in _shuffle_letters(a, b[1:]):
-        key = (b[0],) + tail
-        acc[key] = acc.get(key, 0) + mult
-    return tuple(sorted(acc.items()))
+    out = memo.get((a, b))
+    if out is None:
+        acc: dict[tuple, int] = {}
+        for tail, mult in _shuffle_letters(a[1:], b, memo):
+            key = (a[0],) + tail
+            acc[key] = acc.get(key, 0) + mult
+        for tail, mult in _shuffle_letters(a, b[1:], memo):
+            key = (b[0],) + tail
+            acc[key] = acc.get(key, 0) + mult
+        out = memo[(a, b)] = tuple(sorted(acc.items()))
+    return out
 
 
 def shuffle(u: Word, v: Word) -> GeneralizedWord:
     """Shuffle product of two plain words; coefficients are multiplicities."""
     return GeneralizedWord(
-        {Word(t): m for t, m in _shuffle_letters(u.letters, v.letters)}
+        {Word(t): m for t, m in _shuffle_letters(u.letters, v.letters, {})}
     )
 
 
@@ -203,10 +207,11 @@ def shuffle_gw(u: Word | GeneralizedWord, v: Word | GeneralizedWord) -> Generali
     """Bilinear extension of the shuffle product to generalized words."""
     gu, gv = _as_gw(u), _as_gw(v)
     acc: dict[Word, Any] = {}
+    memo: dict = {}
     for wu, cu in gu._terms.items():
         for wv, cv in gv._terms.items():
             c = cu * cv
-            for t, m in _shuffle_letters(wu.letters, wv.letters):
+            for t, m in _shuffle_letters(wu.letters, wv.letters, memo):
                 key = Word(t)
                 acc[key] = acc.get(key, 0) + c * m
     return GeneralizedWord(acc)
@@ -223,14 +228,15 @@ def _trailing_run(letters: tuple, j: FormLabel) -> int:
 
 
 def _decomposition(
-    letters: tuple, j: FormLabel
+    letters: tuple, j: FormLabel, memo: dict
 ) -> tuple[tuple[int, tuple[tuple[Word, int], ...]], ...]:
     """:func:`decompose_at` of one plain word, with integer multiplicities.
 
     Returns ``((i, ((word, m), ...)), ...)``, powers increasing and each
     part's words sorted as :meth:`GeneralizedWord.items` sorts them.  The
     expansion is found by repeatedly stripping the summands with the maximal
-    trailing run of ``j`` and subtracting their shuffle with that power word.
+    trailing run of ``j`` and subtracting their shuffle with that power word;
+    ``memo`` is the shuffle memo of :func:`_shuffle_letters`.
     """
     remaining = {letters: 1}
     parts: dict[int, dict[tuple, int]] = {}
@@ -246,7 +252,7 @@ def _decomposition(
             break
         jk = (j,) * k
         for t, m in bucket.items():
-            for s, n in _shuffle_letters(t, jk):
+            for s, n in _shuffle_letters(t, jk, memo):
                 remaining[s] = remaining.get(s, 0) - m * n
         remaining = {t: m for t, m in remaining.items() if m}
     out = []
@@ -270,8 +276,9 @@ def decompose_at(
     coefficients stay exact.
     """
     parts: dict[int, dict[Word, Any]] = {}
+    memo: dict = {}
     for wd, c in _as_gw(w)._terms.items():
-        for i, terms in _decomposition(wd.letters, j):
+        for i, terms in _decomposition(wd.letters, j, memo):
             part = parts.setdefault(i, {})
             for u, m in terms:
                 part[u] = part.get(u, 0) + c * m

@@ -7,13 +7,17 @@ inverses on plain dicts (the inverse by its sum over compositions), the
 nested segment solve one word at a time in plain Python sums, the genus-0
 puncture derivative by its three-term partial fractions.  The
 integration matrix is the one exception: its scalar loop is the very
-arithmetic the package vectorizes, so the two must agree bit for bit.
+arithmetic the package vectorizes, so the two must agree bit for bit.  The
+Gauss-Legendre rule is built by numpy's ``leggauss``, from which the
+package's literal table was written.
 """
 
 from __future__ import annotations
 
 import cmath
 from itertools import combinations
+
+import numpy as np
 
 
 def brute_shuffle(a: tuple, b: tuple) -> dict[tuple, int]:
@@ -108,6 +112,12 @@ def ref_nested_solve(forms: dict, int_matrix, end_row, words) -> dict:
         nodewise[w] = [sum(q * x for q, x in zip(row, integrand)) for row in int_matrix]
         out[w] = sum(e * x for e, x in zip(end_row, integrand))
     return out
+
+
+def leggauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def ref_integration_matrix(nodes, weights) -> list[list[float]]:

@@ -29,6 +29,7 @@ from iterint.regularization import (
 from iterint.surfaces import FormBasis, SurfaceConfig, eval_form
 import iterint.regularization as regularization_mod
 import iterint.transport as transport_mod
+import iterint.words as words_mod
 from iterint.transport import all_words, iterated_integral, transport_series
 from iterint.words import GeneralizedWord, Word, decompose_at, shuffle, word
 
@@ -330,11 +331,12 @@ class TestRegIterated:
     def test_two_segments_compose_like_extend(self, genus, sphere01, torus3):
         # along a two-segment path, and along its first segment followed by
         # an extend, give the same bits; both match the decomposition formula
-        # with V and lam taken along the whole path
+        # with V and lam taken along the whole path, though a depth= request
+        # assembles by group-like completion and decomposes no word
         s, b = (sphere01, torus3)[genus]
         j, mid, end = ((0, 0.4 + 0.3j, 0.6 - 0.1j), (1, 0.3 + 0.2j, 0.2 + 0.05j))[genus]
         kj = good_puncture_ctx(b, j).form_label
-        depth = 3
+        depth = (6, 4)[genus]
         p = s.punctures[j]
         path = Path((LineSegment(p, mid), LineSegment(mid, end)))
         whole = RegularizedTransport.along(path, b, depth=depth, puncture=j, tol=1e-12)
@@ -357,6 +359,39 @@ class TestRegIterated:
         for w in all_words(range(b.n_forms), depth):
             want, scale = self._decomposition_sum(v, lam, w, kj)
             assert abs(whole.value(w) - want) <= 1e-14 * scale, w
+
+    def test_depth_plan_takes_no_shuffle(self, sphere01, monkeypatch):
+        # a depth= plan compiles without decomposing a word or taking a
+        # shuffle, so it leaves no shuffle behind in any cache
+        def forbidden(*args):
+            raise AssertionError("a depth= plan took a shuffle")
+
+        monkeypatch.setattr(words_mod, "_decomposition", forbidden)
+        monkeypatch.setattr(words_mod, "_shuffle_letters", forbidden)
+        monkeypatch.setattr(regularization_mod, "_decomposition", forbidden)
+        regularization_mod._depth_assembly_plan.cache_clear()
+        _, b = sphere01
+        phi = associator(b, 1, 0, depth=5)
+        assert abs(phi.series.coefficient(word(0, 0, 1)) + ZETA3) <= phi.error
+
+    def test_words_plan_compiles_with_one_shuffle_memo(self, monkeypatch):
+        # every decomposition of a words= compile shares one shuffle memo,
+        # and the next compile starts its own
+        memos = []
+        decomposition = regularization_mod._decomposition
+
+        def spy(letters, j, memo):
+            memos.append(memo)
+            return decomposition(letters, j, memo)
+
+        monkeypatch.setattr(regularization_mod, "_decomposition", spy)
+        requested = (word(0, 1, 1), word(1, 0, 1, 1))
+        for _ in range(2):
+            regularization_mod._assembly_plan.__wrapped__(requested, 1)
+        half = len(memos) // 2
+        assert {id(m) for m in memos[:half]} == {id(memos[0])}
+        assert {id(m) for m in memos[half:]} == {id(memos[-1])}
+        assert memos[0] is not memos[-1] and memos[0]
 
     def test_extend_requires_chaining(self, sphere01):
         _, b = sphere01
@@ -537,6 +572,17 @@ class TestAssociator:
             worsts.append(worst)
         assert worsts[1] < worsts[0]
         assert worsts[1] < 0.05
+
+    def test_depth12_values_within_error(self, sphere01):
+        # Phi_10[0^(n-1) 1] = -zeta(n), Phi_10[(01)^n] = (-1)^n pi^(2n)/(2n+1)!
+        _, b = sphere01
+        phi = associator(b, 1, 0, depth=12)
+        for n in range(2, 13):
+            got = phi.series.coefficient(Word((0,) * (n - 1) + (1,)))
+            assert abs(got + complex(mpmath.zeta(n))) <= phi.error, n
+        for n in range(1, 7):
+            want = (-1) ** n * mpmath.pi ** (2 * n) / mpmath.factorial(2 * n + 1)
+            assert abs(phi.series.coefficient(Word((0, 1) * n)) - complex(want)) <= phi.error, n
 
     def test_depth8_series_times_inverse_is_one(self, sphere01):
         _, b = sphere01

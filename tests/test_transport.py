@@ -3,7 +3,10 @@
 import cmath
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -34,7 +37,13 @@ from iterint.transport import (
 import iterint.transport as transport_mod
 from iterint.words import EMPTY_WORD, GeneralizedWord, Word, shuffle, word
 
-from oracles import ref_integration_matrix, ref_inverse, ref_nested_solve, ref_product
+from oracles import (
+    leggauss_rule,
+    ref_integration_matrix,
+    ref_inverse,
+    ref_nested_solve,
+    ref_product,
+)
 
 # frozen references (20-digit evaluations of the classical polylogarithm)
 LI2_06 = 0.72758630771633338951
@@ -63,6 +72,30 @@ class TestQuadrature:
         weights = transport_mod._END_ROW.tolist()
         want = ref_integration_matrix(nodes, weights)
         assert transport_mod._INT_MATRIX.tolist() == want
+
+    def test_literal_rule_equals_leggauss(self):
+        nodes, weights = leggauss_rule(16)
+        assert np.array_equal(transport_mod._NODES, nodes)
+        assert np.array_equal(transport_mod._END_ROW, weights)
+        want = np.array(ref_integration_matrix(nodes.tolist(), weights.tolist()))
+        assert np.array_equal(transport_mod._INT_MATRIX, want)
+
+    def test_import_leaves_numpy_polynomial_out(self):
+        # the package's source directory, wherever this process imported it from
+        src = os.path.dirname(os.path.dirname(os.path.abspath(transport_mod.__file__)))
+        code = (
+            "import sys, iterint, iterint.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestWordSets:
