@@ -18,11 +18,12 @@ assembled series (the requested words and their tails), and every word's
 decomposition as flat (word, power, column of V, multiplicity) arrays.  The
 decompositions of one compile share one shuffle memo, which is dropped with
 it.  A ``depth=`` request holds every word up to its depth, so it needs no
-decomposition: the series is group-like, and its plan (found by alphabet
-size, depth and letter) completes it from V one trailing-run length at a
-time.  Either assembly is one gather and one sum of each word's terms per
-step, by the row sums the series product uses; later segments multiply the
-assembled series by their transports.
+shuffle: the series is group-like, and its plan (found by alphabet size,
+depth and letter) finds the same arrays by completing it from V one
+trailing-run length at a time, in exact integers, at compile time.  Either
+assembly is one gather and one sum of each word's terms, by the row sums the
+series product uses; later segments multiply the assembled series by their
+transports.
 
 Limits toward a second puncture are taken on a geometric radius ladder: the
 values carry powers of log r whose coefficients are recovered by weighted
@@ -74,7 +75,6 @@ from .transport import (
     _adaptive_segment,
     _check_tol,
     _intern,
-    _mul,
     _row_sums,
     _solve_plan,
     _transport_segment,
@@ -227,15 +227,17 @@ def reg_line_integral(
 
 @dataclass(frozen=True, eq=False)
 class _AssemblyPlan:
-    """A ``words=`` request compiled for assembly at one distinguished letter.
+    """A request compiled for assembly at one distinguished letter.
 
-    A ``depth=`` request compiles a :class:`_GroupLikePlan` instead, which
-    decomposes no word.  ``support`` holds the requested words and their
-    tails, the empty word among them, by length and then by letters: the
-    order of ``full_plan``'s words, so a transport on ``full_plan`` times the
-    series keeps this support, and every ``extend`` reuses one split plan.
-    ``v_plan`` solves the tail closure of the decomposition's parts (none of
-    which ends in the letter), the set the start piece is solved on;
+    A ``words=`` request finds the arrays below by shuffle decompositions
+    (:func:`_assembly_plan`); a ``depth=`` request compiles the subclass
+    :class:`_GroupLikePlan`, which finds the same arrays without a shuffle.
+    ``support`` holds the requested words and their tails, the empty word
+    among them, by length and then by letters: the order of ``full_plan``'s
+    words, so a transport on ``full_plan`` times the series keeps this
+    support, and every ``extend`` reuses one split plan.  ``v_plan`` solves
+    the tail closure of the decomposition's parts (none of which ends in the
+    letter), the set the start piece is solved on;
     ``full_plan`` the factor closure of the requested words, the parts and
     the letter, the set every other piece is solved on.  Each word's
     decomposition is flattened into terms, grouped by word and ordered by
@@ -254,15 +256,18 @@ class _AssemblyPlan:
     column: np.ndarray
     multiplicity: np.ndarray
 
+    def _terms(self, v: NcSeries, lam: complex) -> np.ndarray:
+        """Every term lam^i/i! * m * V[u] of every word, in plan order."""
+        assert v.support is self.v_plan.support
+        lam_powers = np.array([lam ** i / math.factorial(i) for i in range(self.depth + 1)])
+        return v.values[self.column] * self.multiplicity * lam_powers[self.power]
+
     def assemble(self, v: NcSeries, lam: complex) -> tuple[NcSeries, float]:
         """The regularized series on ``support``: every word is
         sum_i lam^i/i! * V[w(i)] over its compiled shuffle decomposition,
         with ``v`` (V) on the support of ``v_plan``.  The rounding of these
         sums is not bounded: the second value is 0."""
-        assert v.support is self.v_plan.support
-        lam_powers = np.array([lam ** i / math.factorial(i) for i in range(self.depth + 1)])
-        terms = v.values[self.column] * self.multiplicity * lam_powers[self.power]
-        values = _row_sums(self.row, terms, len(self.support))
+        values = _row_sums(self.row, self._terms(v, lam), len(self.support))
         return NcSeries._of(self.support, values, self.depth), 0.0
 
 
@@ -300,7 +305,7 @@ def _assembly_plan(requested: tuple[Word, ...], kj: int) -> _AssemblyPlan:
 
 
 @dataclass(frozen=True, eq=False)
-class _GroupLikePlan:
+class _GroupLikePlan(_AssemblyPlan):
     """Every word up to ``depth`` compiled for assembly by group-like completion.
 
     The regularized series F is group-like and F[j] = lam for the
@@ -314,55 +319,25 @@ class _GroupLikePlan:
 
         R[v j^k] = -(1/k) * sum over g < |v| of  R[v[:g] j v[g:] j^(k-1)],
 
-    one row sum per run length k, and R[j^k] = 0.  No word needs a shuffle
-    or its own decomposition.  (The relation R[v] R[j^k] = 0 gives R[v j^k]
-    too, but it sums every word of v ш j^k: at depth 12 its plan compiles
-    6 times slower, and F rounds about 10 times worse.)
+    and R[j^k] = 0.  The compile runs this recursion on each word's
+    coefficients over V, in exact integers, one run length at a time; no
+    word needs a shuffle.  The expansion of w in the words of V times powers
+    of j is unique, so the terms, powers, columns and multiplicities are
+    those of the shuffle decomposition plan of the same words, in the same
+    order, and so is the assembly, bit for bit.  (The relation
+    R[v] R[j^k] = 0 gives R[v j^k] too, but it sums every word of v ш j^k.)
 
-    ``support``, ``v_plan`` (the words not ending in j) and ``full_plan``
-    are those of the decomposition plan of the same words, in the same
-    order.  ``v_rows`` holds the positions in ``support`` of ``v_plan``'s
-    words.  ``levels`` has one (positions, row, source) per run length
-    k = 1, 2, ...: the positions of the words v j^k, and for each term of
-    their sums the word's row in ``positions`` and the position of the
-    inserted word.  ``row``, ``source`` and ``power`` hold, for each term
-    R[w minus j^i] * lam^i/i! of each word, the word's position, the
-    position of w minus j^i and i.  ``uses`` counts, for each word, the
-    terms of the recursion that read it.
-
-    The rounding of F is estimated as eps times the sum of the moduli of
-    every term the recursion and the gather add, the recursion's scaled by
-    sum_i |lam^i/i!|, the most by which an error bounded in R can grow in F.
-    Against an mpmath run of the same sums from the same V, that is 40 to
-    100 times the largest rounding error of F at depths 8, 10 and 12 on the
-    sphere {0, 1}.
+    :meth:`assemble` estimates the rounding of F as eps times the sum of
+    the moduli of the terms it adds.
     """
-
-    support: _Support
-    depth: int
-    v_plan: _SolvePlan
-    full_plan: _SolvePlan
-    v_rows: np.ndarray
-    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    row: np.ndarray
-    source: np.ndarray
-    power: np.ndarray
-    uses: np.ndarray
 
     def assemble(self, v: NcSeries, lam: complex) -> tuple[NcSeries, float]:
         """The regularized series on ``support`` from V (``v``, on the
         support of ``v_plan``) and lam, and the estimate of its rounding."""
-        assert v.support is self.v_plan.support
-        n = len(self.support)
-        r = np.zeros(n, dtype=complex)
-        r[self.v_rows] = v.values
-        for k, (pos, row, source) in enumerate(self.levels, 1):
-            r[pos] = _row_sums(row, r[source], len(pos)) / -k
-        lam_powers = np.array([lam ** i / math.factorial(i) for i in range(self.depth + 1)])
-        terms = _mul(r[self.source], lam_powers[self.power])
-        values = _row_sums(self.row, terms, n)
-        moduli = (np.abs(r) @ self.uses) * np.abs(lam_powers).sum() + np.abs(terms).sum()
-        return NcSeries._of(self.support, values, self.depth), float(np.finfo(float).eps * moduli)
+        terms = self._terms(v, lam)
+        values = _row_sums(self.row, terms, len(self.support))
+        rounding = float(np.finfo(float).eps * np.abs(terms).sum())
+        return NcSeries._of(self.support, values, self.depth), rounding
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -372,36 +347,37 @@ def _depth_assembly_plan(n_forms: int, depth: int, kj: int) -> _GroupLikePlan:
     run = [_trailing_run(w.letters, kj) for w in words]
     v_plan = _solve_plan(tuple(w for w, k in zip(words, run) if not k))
     full_plan = _solve_plan(words)  # every word up to the depth: factor-closed
+    column_of = v_plan.support.position
     position = {w.letters: p for p, w in enumerate(words)}
-    uses = [0] * len(words)
-    levels = []
+    # each word's R as {column of V: integer coefficient}, by increasing run
+    r = [{column_of[w]: 1} if not k else {} for w, k in zip(words, run)]
     for k in range(1, depth + 1):
         jk1 = (kj,) * (k - 1)
-        targets = [p for p, n in enumerate(run) if n == k]
-        row, source = [], []
-        for r, p in enumerate(targets):
+        for p in (p for p, n in enumerate(run) if n == k):
             v = words[p].letters[:-k]
+            acc: dict[int, int] = {}
             for g in range(len(v)):
-                s = position[v[:g] + (kj,) + v[g:] + jk1]
-                row.append(r)
-                source.append(s)
-                uses[s] += 1
-        levels.append(tuple(np.array(a, dtype=np.intp) for a in (targets, row, source)))
-    row, source, power = [], [], []
+                for c, m in r[position[v[:g] + (kj,) + v[g:] + jk1]].items():
+                    acc[c] = acc.get(c, 0) + m
+            # the sum is a multiple of k: R has integer coefficients over V
+            r[p] = {c: -(m // k) for c, m in acc.items() if m}
+    columns = [sorted(x) for x in r]
+    coefficients = [[x[c] for c in cs] for x, cs in zip(r, columns)]
+    row, power, column, multiplicity = [], [], [], []
     for p, w in enumerate(words):
         for i in range(run[p] + 1):
-            row.append(p)
-            source.append(position[w.letters[: len(w) - i]])
-            power.append(i)
+            s = position[w.letters[: len(w) - i]]
+            row += [p] * len(columns[s])
+            power += [i] * len(columns[s])
+            column += columns[s]
+            multiplicity += coefficients[s]
     return _GroupLikePlan(
         _intern(words),
         depth,
         v_plan,
         full_plan,
-        np.array([position[w.letters] for w in v_plan.support.words], dtype=np.intp),
-        tuple(levels),
-        *(np.array(a, dtype=np.intp) for a in (row, source, power)),
-        np.array(uses, dtype=float),
+        *(np.array(a, dtype=np.intp) for a in (row, power, column)),
+        np.array(multiplicity, dtype=float),
     )
 
 
@@ -421,7 +397,7 @@ class RegularizedTransport:
         self,
         basis: FormBasis,
         ctx: GoodPunctureCtx,
-        plan: _AssemblyPlan | _GroupLikePlan,
+        plan: _AssemblyPlan,
         series: NcSeries,
         end: complex,
         error: float,

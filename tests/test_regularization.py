@@ -374,6 +374,19 @@ class TestRegIterated:
         phi = associator(b, 1, 0, depth=5)
         assert abs(phi.series.coefficient(word(0, 0, 1)) + ZETA3) <= phi.error
 
+    @pytest.mark.parametrize("n_forms, depth", [(2, 6), (3, 4)])
+    def test_depth_plan_equals_decomposition_plan(self, n_forms, depth):
+        # group-like completion in exact integers finds every word's shuffle
+        # decomposition: the same terms in the same order, so the same bits
+        words = tuple(all_words(range(n_forms), depth))
+        for kj in range(n_forms):
+            grouplike = regularization_mod._depth_assembly_plan(n_forms, depth, kj)
+            decomposed = regularization_mod._assembly_plan(words, kj)
+            assert grouplike.support is decomposed.support
+            assert grouplike.v_plan.support is decomposed.v_plan.support
+            for name in ("row", "power", "column", "multiplicity"):
+                assert getattr(grouplike, name).tolist() == getattr(decomposed, name).tolist(), name
+
     def test_words_plan_compiles_with_one_shuffle_memo(self, monkeypatch):
         # every decomposition of a words= compile shares one shuffle memo,
         # and the next compile starts its own
