@@ -10,20 +10,19 @@ shuffle decomposition.  On the segment that starts at the puncture
          (their innermost integrals converge),
     lam  is the regularized line integral of the distinguished form,
 
-and a ``words=`` request assembles every word as  sum_i lam^i/i! * V[w(i)].
-It is compiled once per distinguished letter into an assembly plan
-(memoized in a bounded cache): the solve plan of V's set, used at the start,
-and of the factor-closed set transported after it, the support of the
-assembled series (the requested words and their tails), and every word's
-decomposition as flat (word, power, column of V, multiplicity) arrays.  The
-decompositions of one compile share one shuffle memo, which is dropped with
-it.  A ``depth=`` request holds every word up to its depth, so it needs no
-shuffle: the series is group-like, and its plan (found by alphabet size,
-depth and letter) finds the same arrays by completing it from V one
-trailing-run length at a time, in exact integers, at compile time.  Either
-assembly is one gather and one sum of each word's terms, by the row sums the
-series product uses; later segments multiply the assembled series by their
-transports.
+and every requested word is assembled as  sum_i lam^i/i! * V[w(i)].  A
+request, ``words=`` or ``depth=`` (every word up to the depth), is compiled
+once per distinguished letter into an assembly plan (memoized in a bounded
+cache): the solve plan of V's set, used at the start, and of the
+factor-closed set transported after it, the support of the assembled series
+(the requested words and their tails), and every word's decomposition as
+flat (word, power, column of V, multiplicity) arrays.  The decompositions
+take no shuffle: part i of w is the expansion of w minus j^i over the words
+not ending in j, found by a recursion in exact integers whose memo lives for
+one compile.  Assembly is one gather and one sum of each word's terms, by
+the row sums the series product uses, and its ``error`` includes eps times
+the sum of the terms' moduli; later segments multiply the assembled series
+by their transports.
 
 Limits toward a second puncture are taken on a geometric radius ladder: the
 values carry powers of log r whose coefficients are recovered by weighted
@@ -73,12 +72,12 @@ from .transport import (
     _SolvePlan,
     _Support,
     _adaptive_segment,
+    _all_words,
     _check_tol,
     _intern,
     _row_sums,
     _solve_plan,
     _transport_segment,
-    all_words,
     factor_closure,
     tail_closure,
     transport_series,
@@ -88,8 +87,7 @@ from .words import (
     GeneralizedWord,
     Word,
     _as_gw,
-    _decomposition,
-    _trailing_run,
+    _expansion,
     decompose_leading,
     word,
 )
@@ -204,7 +202,7 @@ def reg_line_integral(
     err = 0.0
     if integrand is not None:
         seg_tol = tol / len(path.segments)
-        support = _intern(tuple(all_words((k,), 1)))  # () and (k,)
+        support = _all_words((k,), 1)  # () and (k,)
         for seg in path.segments:
             # a piece is the depth-one series {(): 1, (k): its integral}, so
             # the bisection's products add the pieces' integrals
@@ -227,24 +225,22 @@ def reg_line_integral(
 
 @dataclass(frozen=True, eq=False)
 class _AssemblyPlan:
-    """A request compiled for assembly at one distinguished letter.
+    """A request, ``words=`` or ``depth=`` alike, compiled for assembly at one
+    distinguished letter.
 
-    A ``words=`` request finds the arrays below by shuffle decompositions
-    (:func:`_assembly_plan`); a ``depth=`` request compiles the subclass
-    :class:`_GroupLikePlan`, which finds the same arrays without a shuffle.
     ``support`` holds the requested words and their tails, the empty word
     among them, by length and then by letters: the order of ``full_plan``'s
     words, so a transport on ``full_plan`` times the series keeps this
     support, and every ``extend`` reuses one split plan.  ``v_plan`` solves
-    the tail closure of the decomposition's parts (none of which ends in the
-    letter), the set the start piece is solved on;
-    ``full_plan`` the factor closure of the requested words, the parts and
+    the tail closure of the words the decompositions' parts use (none of
+    which ends in the letter), the set the start piece is solved on;
+    ``full_plan`` the factor closure of the requested words, those words and
     the letter, the set every other piece is solved on.  Each word's
     decomposition is flattened into terms, grouped by word and ordered by
-    power: ``row`` (position in ``support``), ``power``, ``column``
-    (position in ``v_plan``'s support) and ``multiplicity``; ``_row_sums``
-    adds each row's terms in that order.  ``depth`` is the longest
-    requested length.
+    power and then by letters: ``row`` (position in ``support``), ``power``,
+    ``column`` (position in ``v_plan``'s support) and ``multiplicity``;
+    ``_row_sums`` adds each row's terms in that order.  ``depth`` is the
+    longest requested length.
     """
 
     support: _Support
@@ -256,128 +252,73 @@ class _AssemblyPlan:
     column: np.ndarray
     multiplicity: np.ndarray
 
-    def _terms(self, v: NcSeries, lam: complex) -> np.ndarray:
-        """Every term lam^i/i! * m * V[u] of every word, in plan order."""
+    def assemble(self, v: NcSeries, lam: complex) -> tuple[NcSeries, float]:
+        """The regularized series on ``support``, every word being
+        sum_i lam^i/i! * V[w(i)] over its compiled decomposition, with ``v``
+        (V) on the support of ``v_plan``; and the estimate of the sums'
+        rounding, eps times the sum of the moduli of the terms."""
         assert v.support is self.v_plan.support
         lam_powers = np.array([lam ** i / math.factorial(i) for i in range(self.depth + 1)])
-        return v.values[self.column] * self.multiplicity * lam_powers[self.power]
-
-    def assemble(self, v: NcSeries, lam: complex) -> tuple[NcSeries, float]:
-        """The regularized series on ``support``: every word is
-        sum_i lam^i/i! * V[w(i)] over its compiled shuffle decomposition,
-        with ``v`` (V) on the support of ``v_plan``.  The rounding of these
-        sums is not bounded: the second value is 0."""
-        values = _row_sums(self.row, self._terms(v, lam), len(self.support))
-        return NcSeries._of(self.support, values, self.depth), 0.0
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _assembly_plan(requested: tuple[Word, ...], kj: int) -> _AssemblyPlan:
-    """Compile distinct requested words for assembly at the letter ``kj``.
-
-    The parts of the tails' decompositions are tails of the requested words'
-    parts, so adding the tails changes neither solve plan.  The shuffles of
-    the decompositions share one memo, dropped with the compile.
-    """
-    words = tuple(tail_closure(requested))
-    memo: dict = {}
-    parts = [_decomposition(w.letters, kj, memo) for w in words]
-    part_words = {u for d in parts for _, terms in d for u, _ in terms}
-    v_plan = _solve_plan(tuple(tail_closure(part_words)))
-    full_plan = _solve_plan(tuple(factor_closure([*requested, *part_words, word(kj)])))
-    column_of = v_plan.support.position
-    row, power, column, multiplicity = [], [], [], []
-    for r, d in enumerate(parts):
-        for i, terms in d:
-            for u, m in terms:
-                row.append(r)
-                power.append(i)
-                column.append(column_of[u])
-                multiplicity.append(m)
-    return _AssemblyPlan(
-        _intern(words),
-        max((len(w) for w in requested), default=0),
-        v_plan,
-        full_plan,
-        *(np.array(a, dtype=np.intp) for a in (row, power, column)),
-        np.array(multiplicity, dtype=float),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class _GroupLikePlan(_AssemblyPlan):
-    """Every word up to ``depth`` compiled for assembly by group-like completion.
-
-    The regularized series F is group-like and F[j] = lam for the
-    distinguished letter j, so R = F * exp(-lam x_j) is group-like with
-    R[j] = 0, and F[w] = sum_i R[w minus j^i] * lam^i/i! over the trailing
-    runs j^i of w.  R agrees with V on the words not ending in j.  For v not
-    ending in j, R[v j^(k-1)] R[j] = 0 is the sum of R over the insertions
-    of one j into v j^(k-1): the k insertions into the trailing run give
-    v j^k, and the others, v[:g] j v[g:] j^(k-1) with g < |v|, have the
-    run k - 1.  So
-
-        R[v j^k] = -(1/k) * sum over g < |v| of  R[v[:g] j v[g:] j^(k-1)],
-
-    and R[j^k] = 0.  The compile runs this recursion on each word's
-    coefficients over V, in exact integers, one run length at a time; no
-    word needs a shuffle.  The expansion of w in the words of V times powers
-    of j is unique, so the terms, powers, columns and multiplicities are
-    those of the shuffle decomposition plan of the same words, in the same
-    order, and so is the assembly, bit for bit.  (The relation
-    R[v] R[j^k] = 0 gives R[v j^k] too, but it sums every word of v ш j^k.)
-
-    :meth:`assemble` estimates the rounding of F as eps times the sum of
-    the moduli of the terms it adds.
-    """
-
-    def assemble(self, v: NcSeries, lam: complex) -> tuple[NcSeries, float]:
-        """The regularized series on ``support`` from V (``v``, on the
-        support of ``v_plan``) and lam, and the estimate of its rounding."""
-        terms = self._terms(v, lam)
+        terms = v.values[self.column] * self.multiplicity * lam_powers[self.power]
         values = _row_sums(self.row, terms, len(self.support))
         rounding = float(np.finfo(float).eps * np.abs(terms).sum())
         return NcSeries._of(self.support, values, self.depth), rounding
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _depth_assembly_plan(n_forms: int, depth: int, kj: int) -> _GroupLikePlan:
-    """The group-like plan of every word over ``n_forms`` letters up to ``depth``."""
-    words = tuple(sorted(all_words(range(n_forms), depth), key=lambda w: (len(w), w.letters)))
-    run = [_trailing_run(w.letters, kj) for w in words]
-    v_plan = _solve_plan(tuple(w for w, k in zip(words, run) if not k))
-    full_plan = _solve_plan(words)  # every word up to the depth: factor-closed
-    column_of = v_plan.support.position
-    position = {w.letters: p for p, w in enumerate(words)}
-    # each word's R as {column of V: integer coefficient}, by increasing run
-    r = [{column_of[w]: 1} if not k else {} for w, k in zip(words, run)]
-    for k in range(1, depth + 1):
-        jk1 = (kj,) * (k - 1)
-        for p in (p for p, n in enumerate(run) if n == k):
-            v = words[p].letters[:-k]
-            acc: dict[int, int] = {}
-            for g in range(len(v)):
-                for c, m in r[position[v[:g] + (kj,) + v[g:] + jk1]].items():
-                    acc[c] = acc.get(c, 0) + m
-            # the sum is a multiple of k: R has integer coefficients over V
-            r[p] = {c: -(m // k) for c, m in acc.items() if m}
-    columns = [sorted(x) for x in r]
-    coefficients = [[x[c] for c in cs] for x, cs in zip(r, columns)]
-    row, power, column, multiplicity = [], [], [], []
-    for p, w in enumerate(words):
-        for i in range(run[p] + 1):
-            s = position[w.letters[: len(w) - i]]
-            row += [p] * len(columns[s])
-            power += [i] * len(columns[s])
-            column += columns[s]
-            multiplicity += coefficients[s]
-    return _GroupLikePlan(
+def _assembly_plan(requested: tuple[Word, ...] | _Support, kj: int) -> _AssemblyPlan:
+    """Compile distinct requested words for assembly at the letter ``kj``.
+
+    A ``depth=`` request passes the support of every word up to its depth
+    that ``_all_words`` keeps: it is hashed by identity, so that a warm
+    request hashes no word.  Part i of a word is the
+    :func:`~iterint.words._expansion` of the word minus kj^i; the expansions
+    of one compile share one memo, dropped with the compile.  The parts of
+    the tails' decompositions are tails of the requested words' parts, so
+    adding the tails changes neither solve plan.
+    """
+    if isinstance(requested, _Support):
+        requested = requested.words
+    words = tuple(tail_closure(requested))
+    word_of = {"".join(map(chr, w.letters)): w for w in words}
+    j = chr(kj)
+    memo: dict = {}
+    # each distinct word minus kj^i, with the start and the number of its
+    # expansion's terms in flat_words; each part as row, power, start, count
+    heads: dict[str, tuple[int, int]] = {}
+    flat_words, flat_multiplicities = [], []
+    row, power, start, count = [], [], [], []
+    for r, s in enumerate(word_of):
+        for i in range(len(s) - len(s.rstrip(j)) + 1):
+            head = s[: len(s) - i]
+            if head not in heads:
+                expansion = _expansion(head, j, memo)
+                heads[head] = (len(flat_words), len(expansion))
+                flat_words += expansion
+                flat_multiplicities += expansion.values()
+            first, n = heads[head]
+            if n:
+                row.append(r)
+                power.append(i)
+                start.append(first)
+                count.append(n)
+    used = dict.fromkeys(flat_words)
+    part_words = [word_of[u] if u in word_of else Word(tuple(map(ord, u))) for u in used]
+    v_plan = _solve_plan(tuple(tail_closure(part_words)))
+    full_plan = _solve_plan(tuple(factor_closure([*requested, *part_words, word(kj)])))
+    column_of = {"".join(map(chr, w.letters)): c for c, w in enumerate(v_plan.support.words)}
+    # every part's terms, as positions in flat_words
+    count = np.array(count, dtype=np.intp)
+    terms = np.arange(count.sum()) + np.repeat(np.array(start) - (np.cumsum(count) - count), count)
+    return _AssemblyPlan(
         _intern(words),
-        depth,
+        max((len(w) for w in requested), default=0),
         v_plan,
         full_plan,
-        *(np.array(a, dtype=np.intp) for a in (row, power, column)),
-        np.array(multiplicity, dtype=float),
+        np.repeat(np.array(row, dtype=np.intp), count),
+        np.repeat(np.array(power, dtype=np.intp), count),
+        np.array([column_of[u] for u in flat_words], dtype=np.intp)[terms],
+        np.array(flat_multiplicities, dtype=float)[terms],
     )
 
 
@@ -390,7 +331,7 @@ class RegularizedTransport:
     :meth:`value` and :meth:`series` read the requested words and their
     tails, the empty word among them; any other word raises
     :class:`MissingLabelError`.  :attr:`error` adds the quadrature estimates
-    and, for a ``depth=`` request, the estimate of the assembly's rounding.
+    and the estimate of the assembly's rounding.
     """
 
     def __init__(
@@ -427,7 +368,7 @@ class RegularizedTransport:
         j = _puncture_at(basis, path.start, path.reg_start if puncture is None else puncture)
         ctx = good_puncture_ctx(basis, j)
         if words is None:
-            plan = _depth_assembly_plan(basis.n_forms, depth, ctx.form_label)
+            requested = _all_words(tuple(range(basis.n_forms)), depth)
         else:
             requested = tuple(
                 dict.fromkeys(w if isinstance(w, Word) else Word(tuple(w)) for w in words)
@@ -435,7 +376,7 @@ class RegularizedTransport:
             for w in requested:
                 if any(a >= basis.n_forms for a in w.letters):
                     raise ConfigError(f"word {w} uses letters outside the basis")
-            plan = _assembly_plan(requested, ctx.form_label)
+        plan = _assembly_plan(requested, ctx.form_label)
 
         segs = path.segments
         seg_tol = tol / len(segs)

@@ -456,13 +456,20 @@ class FormBasis:
             for f in rest:
                 if not (0 <= f.k1 < n and 0 <= f.k2 < n):
                     raise ConfigError(f"form pole indices {f.k1},{f.k2} out of range")
-            if rest:
-                mat = np.zeros((len(rest), n))
-                for r, f in enumerate(rest):
-                    mat[r, f.k1] += 1.0
-                    mat[r, f.k2] -= 1.0
-                if np.linalg.matrix_rank(mat) != len(rest):
+            # the residue vectors e_k1 - e_k2 are independent exactly when the
+            # pole pairs, as edges between punctures, close no cycle
+            root = list(range(n))
+
+            def find(a: int) -> int:
+                while root[a] != a:
+                    a = root[a]
+                return a
+
+            for f in rest:
+                a, b = find(f.k1), find(f.k2)
+                if a == b:
                     raise ConfigError("elliptic forms have dependent residue vectors")
+                root[a] = b
             object.__setattr__(self, "theta", ThetaParams(s.tau))
 
     @classmethod

@@ -115,11 +115,13 @@ def all_words(alphabet: Sequence[int], depth: int) -> list[Word]:
 
     Repeated calls return new lists of the same ``Word`` objects.
     """
-    return list(_all_words(tuple(alphabet), depth))
+    return list(_all_words(tuple(alphabet), depth).words)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _all_words(alphabet: tuple[int, ...], depth: int) -> tuple[Word, ...]:
+def _all_words(alphabet: tuple[int, ...], depth: int) -> _Support:
+    """:func:`all_words` as one support, so that a request for every word up
+    to a depth reaches its cached plans without hashing a word."""
     if depth < 0:
         raise ConfigError("depth must be nonnegative")
     out = [EMPTY_WORD]
@@ -127,31 +129,47 @@ def _all_words(alphabet: tuple[int, ...], depth: int) -> tuple[Word, ...]:
     for _ in range(depth):
         layer = [Word((a,) + w.letters) for w in layer for a in alphabet]
         out.extend(layer)
-    return tuple(out)
+    return _intern(tuple(out))
 
 
-def _sorted_words(letters: set[tuple]) -> list[Word]:
+def _sorted_words(letters: set[tuple], known: dict[tuple, Word]) -> list[Word]:
+    """The words of ``letters`` and the empty word, shortest first and then by
+    letters; the ``Word`` objects of ``known`` are reused."""
     letters.add(())
-    return [Word(t) for t in sorted(letters, key=lambda t: (len(t), t))]
+    return [known[t] if t in known else Word(t) for t in sorted(sorted(letters), key=len)]
 
 
 def factor_closure(words: Iterable[Word]) -> list[Word]:
-    """All contiguous subwords, shortest first; what a series product needs."""
-    out: set[tuple] = set()
-    for w in words:
-        ls = w.letters
-        n = len(ls)
-        out.update(ls[i:j] for i in range(n) for j in range(i + 1, n + 1))
-    return _sorted_words(out)
+    """All contiguous subwords, shortest first; what a series product needs.
+
+    Every subword is reached from a longer one by dropping its first or its
+    last letter, and a subword is split further only when first seen.
+    """
+    known = {w.letters: w for w in words}
+    out = set(known)
+    stack = list(known)
+    while stack:
+        ls = stack.pop()
+        head, tail = ls[:-1], ls[1:]
+        if head not in out:
+            out.add(head)
+            stack.append(head)
+        if tail not in out:
+            out.add(tail)
+            stack.append(tail)
+    return _sorted_words(out, known)
 
 
 def tail_closure(words: Iterable[Word]) -> list[Word]:
     """All trailing subwords, shortest first; what a nested solve needs."""
-    out: set[tuple] = set()
-    for w in words:
-        ls = w.letters
-        out.update(ls[i:] for i in range(len(ls)))
-    return _sorted_words(out)
+    known = {w.letters: w for w in words}
+    out = set(known)
+    for ls in known:
+        tail = ls[1:]
+        while tail not in out:  # a tail already present brings its own tails
+            out.add(tail)
+            tail = tail[1:]
+    return _sorted_words(out, known)
 
 
 class _Support:
@@ -468,7 +486,7 @@ def _solve_plan(words: tuple[Word, ...]) -> _SolvePlan:
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _depth_plan(n_forms: int, depth: int) -> _SolvePlan:
     """The solve plan of every word over ``n_forms`` letters up to ``depth``."""
-    return _solve_plan(_all_words(tuple(range(n_forms)), depth))
+    return _solve_plan(_all_words(tuple(range(n_forms)), depth).words)
 
 
 def _solve_segment(

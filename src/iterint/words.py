@@ -217,52 +217,33 @@ def shuffle_gw(u: Word | GeneralizedWord, v: Word | GeneralizedWord) -> Generali
     return GeneralizedWord(acc)
 
 
-def _trailing_run(letters: tuple, j: FormLabel) -> int:
-    """Number of consecutive copies of ``j`` at the right end."""
-    n = 0
-    for a in reversed(letters):
-        if a != j:
-            break
-        n += 1
-    return n
+def _expansion(s: str, j: str, memo: dict) -> dict[str, int]:
+    """The word ``s`` as sum of m * u over words u not ending in ``j``: {u: m}
+    in the order of the letters.
 
+    A word is a string here, one character chr(a) per letter a, because a
+    string caches its hash and the expansions are keyed by words.  E is part
+    0 of :func:`decompose_at`, so it vanishes on every x ⧢ j, and part i of
+    w is E[w minus j^i].  For w = u a j^k with a != j and k >= 1, the
+    relation E[u a j^(k-1) ⧢ j] = 0 gives E[w] = (-1)^k (u ⧢ j^k) a by
+    induction on k.  Splitting that shuffle at its first letter gives, for
+    every w ending in ``j`` and its first letter b,
 
-def _decomposition(
-    letters: tuple, j: FormLabel, memo: dict
-) -> tuple[tuple[int, tuple[tuple[Word, int], ...]], ...]:
-    """:func:`decompose_at` of one plain word, with integer multiplicities.
+        E[w] = b E[w minus b] - j E[w minus its last j],
 
-    Returns ``((i, ((word, m), ...)), ...)``, powers increasing and each
-    part's words sorted as :meth:`GeneralizedWord.items` sorts them.  The
-    expansion is found by repeatedly stripping the summands with the maximal
-    trailing run of ``j`` and subtracting their shuffle with that power word;
-    ``memo`` is the shuffle memo of :func:`_shuffle_letters`.
+    with E[j^k] = 0 for k >= 1, so the coefficients stay integers.  ``memo``
+    holds the expansions at ``j`` found so far; a caller passes one dict for
+    one request, so that nothing is kept after it.
     """
-    remaining = {letters: 1}
-    parts: dict[int, dict[tuple, int]] = {}
-    while remaining:
-        k = max(_trailing_run(t, j) for t in remaining)
-        bucket = {
-            t[: len(t) - k]: m for t, m in remaining.items() if _trailing_run(t, j) == k
-        }
-        part = parts.setdefault(k, {})
-        for t, m in bucket.items():
-            part[t] = part.get(t, 0) + m
-        if not k:
-            break
-        jk = (j,) * k
-        for t, m in bucket.items():
-            for s, n in _shuffle_letters(t, jk, memo):
-                remaining[s] = remaining.get(s, 0) - m * n
-        remaining = {t: m for t, m in remaining.items() if m}
-    out = []
-    for i in sorted(parts):
-        terms = sorted(
-            ((t, m) for t, m in parts[i].items() if m), key=lambda tm: (len(tm[0]), tm[0])
-        )
-        if terms:
-            out.append((i, tuple((Word(t), m) for t, m in terms)))
-    return tuple(out)
+    if not s.endswith(j):
+        return {s: 1}
+    out = memo.get(s)
+    if out is None:
+        acc = {s[0] + u: m for u, m in _expansion(s[1:], j, memo).items()}
+        for u, m in _expansion(s[:-1], j, memo).items():
+            acc[j + u] = acc.get(j + u, 0) - m
+        out = memo[s] = {u: acc[u] for u in sorted(acc) if acc[u]}
+    return out
 
 
 def decompose_at(
@@ -272,15 +253,19 @@ def decompose_at(
 
     Returns ``[(i, w(i))]`` sorted by increasing power, zero parts dropped.
     The expansion exists and is unique, so it is the linear extension of the
-    expansion of each plain word.  Ring operations only, so exact
-    coefficients stay exact.
+    expansion of each plain word, whose part i is the :func:`_expansion` of
+    the word minus j^i for i up to its trailing run of ``j``; no shuffle is
+    taken.  Ring operations only, so exact coefficients stay exact.
     """
     parts: dict[int, dict[Word, Any]] = {}
     memo: dict = {}
+    letter = chr(j)
     for wd, c in _as_gw(w)._terms.items():
-        for i, terms in _decomposition(wd.letters, j, memo):
+        s = "".join(map(chr, wd.letters))
+        for i in range(len(s) - len(s.rstrip(letter)) + 1):
             part = parts.setdefault(i, {})
-            for u, m in terms:
+            for u, m in _expansion(s[: len(s) - i], letter, memo).items():
+                u = Word(tuple(map(ord, u)))
                 part[u] = part.get(u, 0) + c * m
     out = []
     for i in sorted(parts):

@@ -1,7 +1,8 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately written with different algorithms from the
-package code: shuffles by explicit position choice, zeta by Euler-Maclaurin
+package code: shuffles by explicit position choice, the expansion at a
+letter by stripping trailing runs with those shuffles, zeta by Euler-Maclaurin
 summation, winding numbers by dense midpoint quadrature, series products and
 inverses on plain dicts (the inverse by its sum over compositions), the
 nested segment solve one word at a time in plain Python sums, the genus-0
@@ -35,6 +36,44 @@ def brute_shuffle(a: tuple, b: tuple) -> dict[tuple, int]:
         key = tuple(out)
         acc[key] = acc.get(key, 0) + 1
     return acc
+
+
+def _trailing_run(letters: tuple, j: int) -> int:
+    n = len(letters)
+    while n and letters[n - 1] == j:
+        n -= 1
+    return len(letters) - n
+
+
+def strip_decomposition(letters: tuple, j: int) -> list[tuple[int, list[tuple[tuple, int]]]]:
+    """The expansion w = sum_i w(i) sh j^i of one plain word, by stripping.
+
+    The summands with the longest trailing run k of ``j`` lose that run
+    into part k, and their shuffle with j^k (by :func:`brute_shuffle`) is
+    subtracted from what remains, until nothing ends in ``j``.  Returns
+    ``[(i, [(letters, multiplicity), ...])]``, powers increasing and each
+    part's words by length and then by letters, zero parts dropped.
+    """
+    remaining = {letters: 1}
+    parts: dict[int, dict[tuple, int]] = {}
+    while remaining:
+        k = max(_trailing_run(t, j) for t in remaining)
+        bucket = {t[: len(t) - k]: m for t, m in remaining.items() if _trailing_run(t, j) == k}
+        part = parts.setdefault(k, {})
+        for t, m in bucket.items():
+            part[t] = part.get(t, 0) + m
+        if not k:
+            break
+        for t, m in bucket.items():
+            for s, n in brute_shuffle(t, (j,) * k).items():
+                remaining[s] = remaining.get(s, 0) - m * n
+        remaining = {t: m for t, m in remaining.items() if m}
+    out = []
+    for i in sorted(parts):
+        terms = sorted((tm for tm in parts[i].items() if tm[1]), key=lambda tm: (len(tm[0]), tm[0]))
+        if terms:
+            out.append((i, terms))
+    return out
 
 
 def ref_product(left: dict, right: dict, depth: int) -> dict:

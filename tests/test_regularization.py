@@ -5,6 +5,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from iterint.errors import (
@@ -31,9 +32,18 @@ import iterint.regularization as regularization_mod
 import iterint.transport as transport_mod
 import iterint.words as words_mod
 from iterint.transport import all_words, iterated_integral, transport_series
-from iterint.words import GeneralizedWord, Word, decompose_at, shuffle, word
+from iterint.words import (
+    EMPTY_WORD,
+    GeneralizedWord,
+    Word,
+    decompose_at,
+    decompose_leading,
+    shuffle,
+    word,
+    word_power,
+)
 
-from oracles import zeta_em
+from oracles import strip_decomposition, zeta_em
 
 LI2_06 = 0.72758630771633338951
 ZETA2 = math.pi ** 2 / 6.0
@@ -289,6 +299,28 @@ class TestRegIterated:
         ]
         return sum(terms), sum(abs(t) for t in terms)
 
+    @staticmethod
+    def _requested(b, kj):
+        """The words= request of the assembly tests: every run of the letter,
+        and eight words drawn at random."""
+        rng = random.Random(23)
+        requested = [word(kj), word(kj, kj), word(1 - kj, kj), word(kj, 1 - kj, kj, kj)]
+        requested += [
+            Word(tuple(rng.randrange(b.n_forms) for _ in range(rng.randint(1, 4))))
+            for _ in range(8)
+        ]
+        return requested
+
+    @staticmethod
+    def _words_plan(requested, kj):
+        return regularization_mod._assembly_plan(tuple(dict.fromkeys(requested)), kj)
+
+    @staticmethod
+    def _depth_plan(n_forms, depth, kj):
+        return regularization_mod._assembly_plan(
+            transport_mod._all_words(tuple(range(n_forms)), depth), kj
+        )
+
     @pytest.mark.parametrize("genus", [0, 1])
     def test_assembly_matches_decomposition(self, genus, sphere01, torus3):
         # at the start every requested word, those ending in the distinguished
@@ -297,25 +329,27 @@ class TestRegIterated:
         s, b = (sphere01, torus3)[genus]
         j, end, after = ((0, 0.4 + 0.3j, 0.5 + 0.1j), (1, 0.3 + 0.2j, 0.35 + 0.05j))[genus]
         kj = good_puncture_ctx(b, j).form_label
-        rng = random.Random(23)
-        requested = [word(kj), word(kj, kj), word(1 - kj, kj), word(kj, 1 - kj, kj, kj)]
-        requested += [
-            Word(tuple(rng.randrange(b.n_forms) for _ in range(rng.randint(1, 4))))
-            for _ in range(8)
-        ]
+        requested = self._requested(b, kj)
         first = line_path(s.punctures[j], end)
         rt = RegularizedTransport.along(first, b, words=requested, puncture=j)
-        plan = regularization_mod._assembly_plan(tuple(dict.fromkeys(requested)), kj)
-        v, _ = transport_mod._transport_segment(
+        plan = self._words_plan(requested, kj)
+        v, quadrature = transport_mod._transport_segment(
             b, first.segments[0], plan.full_plan, plan.v_plan, j, 1e-12
         )
-        lam = reg_line_integral(first, kj, b).value
+        reg = reg_line_integral(first, kj, b)
+        lam = reg.value
         before = rt.series()
         for w in requested:
             want, scale = self._decomposition_sum(v, lam, w, kj)
             assert abs(rt.value(w) - want) <= 1e-14 * scale, w
             assert before.coefficient(w) == rt.value(w)
         assert rt.value(word()) == before.coefficient(word()) == 1.0
+        # a words= request reports its assembly's rounding, eps times the
+        # moduli of every term of every assembled word
+        moduli = sum(self._decomposition_sum(v, lam, w, kj)[1] for w in before.support.words)
+        rounding = plan.assemble(v, lam)[1]
+        assert 0 < rounding == pytest.approx(np.finfo(float).eps * moduli, rel=1e-12, abs=0)
+        assert rt.error == quadrature + reg.error + rounding
 
         extension = line_path(end, after)
         rt.extend(extension.segments[0])
@@ -331,8 +365,7 @@ class TestRegIterated:
     def test_two_segments_compose_like_extend(self, genus, sphere01, torus3):
         # along a two-segment path, and along its first segment followed by
         # an extend, give the same bits; both match the decomposition formula
-        # with V and lam taken along the whole path, though a depth= request
-        # assembles by group-like completion and decomposes no word
+        # with V and lam taken along the whole path
         s, b = (sphere01, torus3)[genus]
         j, mid, end = ((0, 0.4 + 0.3j, 0.6 - 0.1j), (1, 0.3 + 0.2j, 0.2 + 0.05j))[genus]
         kj = good_puncture_ctx(b, j).form_label
@@ -347,7 +380,7 @@ class TestRegIterated:
         assert whole.series().coeffs == stepped.series().coeffs
         assert whole.error == stepped.error
 
-        plan = regularization_mod._depth_assembly_plan(b.n_forms, depth, kj)
+        plan = self._depth_plan(b.n_forms, depth, kj)
         v, _ = transport_mod._transport_segment(
             b, path.segments[0], plan.full_plan, plan.v_plan, j, 0.5e-12
         )
@@ -361,50 +394,116 @@ class TestRegIterated:
             assert abs(whole.value(w) - want) <= 1e-14 * scale, w
 
     def test_depth_plan_takes_no_shuffle(self, sphere01, monkeypatch):
-        # a depth= plan compiles without decomposing a word or taking a
-        # shuffle, so it leaves no shuffle behind in any cache
+        # no plan compile and no decomposition takes a shuffle: each word is
+        # expanded by the group-like recursion, and matches the oracle that
+        # strips trailing runs with shuffles
         def forbidden(*args):
-            raise AssertionError("a depth= plan took a shuffle")
+            raise AssertionError("a shuffle was taken")
 
-        monkeypatch.setattr(words_mod, "_decomposition", forbidden)
+        cases = [(EMPTY_WORD, 0), (word_power(1, 3), 1), (word(0, 1), 1), (word(1, 0), 1)]
+        cases += [(word(0, 2, 1, 1), 1), (word(1, 0, 1), 0), (word(2, 1, 0, 1, 1), 1)]
+
+        def plain(parts):
+            return [(i, {u.letters: c for u, c in g.terms.items()}) for i, g in parts]
+
+        want = []
+        for w, j in cases:
+            at = [(i, dict(t)) for i, t in strip_decomposition(w.letters, j)]
+            mirrored = strip_decomposition(w.letters[::-1], j)
+            want.append((at, [(i, {u[::-1]: m for u, m in t}) for i, t in mirrored]))
         monkeypatch.setattr(words_mod, "_shuffle_letters", forbidden)
-        monkeypatch.setattr(regularization_mod, "_decomposition", forbidden)
-        regularization_mod._depth_assembly_plan.cache_clear()
+        regularization_mod._assembly_plan.cache_clear()
         _, b = sphere01
         phi = associator(b, 1, 0, depth=5)
         assert abs(phi.series.coefficient(word(0, 0, 1)) + ZETA3) <= phi.error
+        rt = RegularizedTransport.along(
+            line_path(0.0, 0.5), b, words=[word(0, 1), word(1, 0)], puncture=0
+        )
+        lhs = rt.value(word(0)) * rt.value(word(1))
+        assert abs(lhs - rt.value(word(0, 1)) - rt.value(word(1, 0))) <= 1e-14 * abs(lhs)
+        for (w, j), (at, leading) in zip(cases, want):
+            assert plain(decompose_at(w, j)) == at
+            assert plain(decompose_leading(w, j)) == leading
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_depth_request_is_the_words_request_of_every_word(self, genus, sphere01, torus3):
+        # depth=d and words= every word up to d compile to one plan: the same
+        # support, the same bits and the same error, assembly rounding included
+        s, b = (sphere01, torus3)[genus]
+        j, end, depth = ((0, 0.4 + 0.3j, 5), (1, 0.3 + 0.2j, 3))[genus]
+        path = line_path(s.punctures[j], end)
+        by_depth = RegularizedTransport.along(path, b, depth=depth, puncture=j)
+        by_words = RegularizedTransport.along(
+            path, b, words=all_words(range(b.n_forms), depth), puncture=j
+        )
+        assert by_words.series().support is by_depth.series().support
+        assert by_words.series().values.tobytes() == by_depth.series().values.tobytes()
+        assert by_words.error == by_depth.error
 
     @pytest.mark.parametrize("n_forms, depth", [(2, 6), (3, 4)])
     def test_depth_plan_equals_decomposition_plan(self, n_forms, depth):
-        # group-like completion in exact integers finds every word's shuffle
-        # decomposition: the same terms in the same order, so the same bits
-        words = tuple(all_words(range(n_forms), depth))
+        # the one compiler, given every word up to the depth, writes the
+        # terms of the oracle's decompositions in the oracle's order
         for kj in range(n_forms):
-            grouplike = regularization_mod._depth_assembly_plan(n_forms, depth, kj)
-            decomposed = regularization_mod._assembly_plan(words, kj)
-            assert grouplike.support is decomposed.support
-            assert grouplike.v_plan.support is decomposed.v_plan.support
-            for name in ("row", "power", "column", "multiplicity"):
-                assert getattr(grouplike, name).tolist() == getattr(decomposed, name).tolist(), name
+            plan = self._depth_plan(n_forms, depth, kj)
+            assert self._oracle_arrays(all_words(range(n_forms), depth), kj) == self._arrays(plan)
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_words_plan_equals_decomposition_plan(self, genus, sphere01, torus3):
+        _, b = (sphere01, torus3)[genus]
+        kj = good_puncture_ctx(b, (0, 1)[genus]).form_label
+        requested = self._requested(b, kj)
+        plan = self._words_plan(requested, kj)
+        assert self._oracle_arrays(requested, kj) == self._arrays(plan)
+
+    @staticmethod
+    def _arrays(plan):
+        return (
+            [w.letters for w in plan.support.words],
+            [w.letters for w in plan.v_plan.support.words],
+            *(getattr(plan, name).tolist() for name in ("row", "power", "column", "multiplicity")),
+        )
+
+    @staticmethod
+    def _oracle_arrays(requested, kj):
+        """Support, V's support and the plan arrays, from the oracle's
+        decompositions of the requested words and their tails."""
+        def tails(words):
+            closed = {w[i:] for w in words for i in range(len(w) + 1)}
+            return sorted(closed, key=lambda t: (len(t), t))
+
+        support = tails(w.letters for w in requested)
+        parts = [strip_decomposition(w, kj) for w in support]
+        v_support = tails(u for d in parts for _, terms in d for u, _ in terms)
+        column_of = {u: c for c, u in enumerate(v_support)}
+        terms = [(r, i, u, m) for r, d in enumerate(parts) for i, ts in d for u, m in ts]
+        return (
+            support,
+            v_support,
+            [r for r, _, _, _ in terms],
+            [i for _, i, _, _ in terms],
+            [column_of[u] for _, _, u, _ in terms],
+            [float(m) for _, _, _, m in terms],
+        )
 
     def test_words_plan_compiles_with_one_shuffle_memo(self, monkeypatch):
-        # every decomposition of a words= compile shares one shuffle memo,
-        # and the next compile starts its own
+        # every expansion of a compile shares one memo, and the next compile
+        # starts its own
         memos = []
-        decomposition = regularization_mod._decomposition
+        expansion = regularization_mod._expansion
 
-        def spy(letters, j, memo):
-            memos.append(memo)
-            return decomposition(letters, j, memo)
+        def spy(s, j, memo):
+            memos[-1].append(memo)
+            return expansion(s, j, memo)
 
-        monkeypatch.setattr(regularization_mod, "_decomposition", spy)
+        monkeypatch.setattr(regularization_mod, "_expansion", spy)
         requested = (word(0, 1, 1), word(1, 0, 1, 1))
         for _ in range(2):
+            memos.append([])
             regularization_mod._assembly_plan.__wrapped__(requested, 1)
-        half = len(memos) // 2
-        assert {id(m) for m in memos[:half]} == {id(memos[0])}
-        assert {id(m) for m in memos[half:]} == {id(memos[-1])}
-        assert memos[0] is not memos[-1] and memos[0]
+        first, second = ({id(m) for m in calls} for calls in memos)
+        assert len(first) == len(second) == 1 and first != second
+        assert memos[0][0] and memos[1][0]
 
     def test_extend_requires_chaining(self, sphere01):
         _, b = sphere01

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -36,6 +37,7 @@ from iterint.surfaces import (
     theta11,
     theta_c,
 )
+from iterint.variation import random_torus_basis
 
 TAUS = (1j, 0.5 + 1j)
 
@@ -374,6 +376,23 @@ class TestFormBasis:
         s = SurfaceConfig(1, (0, 0.3, 0.4j), tau=1j)
         with pytest.raises(ConfigError):
             FormBasis(s, (FormSpec.dz(), FormSpec.elliptic_log(1, 0), FormSpec.elliptic_log(0, 1)))
+
+    def test_cyclic_pole_pairs_rejected(self):
+        # three pairs on four punctures are dependent when they close a cycle
+        # (e_1 - e_0 + e_2 - e_1 + e_0 - e_2 = 0), and independent otherwise
+        s = SurfaceConfig(1, (0, 0.3, 0.4j, 0.2 + 0.5j), tau=1j)
+
+        def basis(pairs):
+            elliptic = tuple(FormSpec.elliptic_log(a, b) for a, b in pairs)
+            return FormBasis(s, (FormSpec.dz(),) + elliptic)
+
+        with pytest.raises(ConfigError, match="dependent residue vectors"):
+            basis([(1, 0), (2, 1), (0, 2)])
+        for pairs in ([(1, 0), (2, 0), (3, 0)], [(0, 1), (1, 2), (2, 3)], [(1, 0), (3, 2), (0, 2)]):
+            assert [(f.k1, f.k2) for f in basis(pairs).forms[1:]] == pairs
+        assert FormBasis.genus1(s).n_forms == FormBasis.genus1(s, pairing="chain").n_forms == 4
+        drawn = random_torus_basis(random.Random(3), 1j)
+        assert [(f.k1, f.k2) for f in drawn.forms[1:]] == [(1, 0), (3, 2), (0, 2)]
 
     def test_shape_validation(self):
         s0 = SurfaceConfig(0, (0, 1))

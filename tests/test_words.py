@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from iterint.words import (
     word,
     word_power,
 )
-from oracles import brute_shuffle
+from oracles import brute_shuffle, strip_decomposition
 
 words_st = st.lists(st.integers(0, 2), max_size=5).map(lambda ls: Word(tuple(ls)))
 small_words_st = st.lists(st.integers(0, 2), max_size=3).map(lambda ls: Word(tuple(ls)))
@@ -166,6 +167,21 @@ class TestDecomposeAt:
             # repeats give the same expansion
             assert decompose_at(g, j) == parts
             assert decompose_leading(g, j) == decompose_leading(g, j)
+
+
+    def test_matches_stripping_oracle(self):
+        # 1000 seeded words: the expansion recursion gives the parts of the
+        # oracle that strips trailing runs with shuffles, in the same order
+        rng = random.Random(1000)
+        for _ in range(1000):
+            n = rng.choice((2, 3))
+            w = Word(tuple(rng.randrange(n) for _ in range(rng.randint(0, 9))))
+            j = rng.randrange(n)
+            got = [(i, [(u.letters, c) for u, c in g.items()]) for i, g in decompose_at(w, j)]
+            assert got == strip_decomposition(w.letters, j), (w, j)
+            mirrored = strip_decomposition(w.letters[::-1], j)
+            got = [(i, {u.letters: c for u, c in g.items()}) for i, g in decompose_leading(w, j)]
+            assert got == [(i, {t[::-1]: m for t, m in terms}) for i, terms in mirrored], (w, j)
 
 
 class TestDecomposeLeading:
