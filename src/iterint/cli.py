@@ -114,14 +114,14 @@ def _word_entry(item) -> tuple[str, Word | GeneralizedWord]:
     raise ConfigError(f"cannot read word entry {item!r}")
 
 
-def _plain_words(objs) -> list[Word]:
+def _plain_words(objs) -> set[Word]:
     seen: set[Word] = set()
     for obj in objs:
         if isinstance(obj, Word):
             seen.add(obj)
         else:
             seen.update(w for w, _ in obj.items())
-    return sorted(seen, key=lambda w: (len(w), w.letters))
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -292,16 +292,7 @@ def log_variation(path: Path, pole: complex) -> complex:
                 raise PoleProximityError(f"path touches pole {pole} between segments")
             total += math.log(abs(s1)) if at_start else -math.log(abs(s0))
             continue
-        # interior closest approach guard: projection for lines, radial gap
-        # for arcs centred elsewhere
-        if isinstance(seg, LineSegment):
-            d = seg.end - seg.start
-            u = min(max(-(s0 / d).real, 0.0), 1.0)
-            gap = abs(s0 + u * d)
-        else:
-            rho = abs(pole - seg.center)
-            gap = abs(rho - seg.radius) if rho > 0 else seg.radius
-        if gap == 0:
+        if segment_min_distance(seg, pole) == 0:
             raise PoleProximityError(f"path passes through the pole {pole}")
         total += _seg_log_var(seg, 0.0, 1.0, pole)
     return total

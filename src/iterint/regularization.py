@@ -10,19 +10,19 @@ shuffle decomposition.  On the segment that starts at the puncture
          (their innermost integrals converge),
     lam  is the regularized line integral of the distinguished form,
 
-and every requested word is assembled as  sum_i lam^i/i! * V[w(i)].  A
-request, ``words=`` or ``depth=`` (every word up to the depth), is compiled
-once per distinguished letter into an assembly plan (memoized in a bounded
-cache): the solve plan of V's set, used at the start, and of the
-factor-closed set transported after it, the support of the assembled series
-(the requested words and their tails), and every word's decomposition as
-flat (word, power, column of V, multiplicity) arrays.  The decompositions
-take no shuffle: part i of w is the expansion of w minus j^i over the words
-not ending in j, found by a recursion in exact integers whose memo lives for
-one compile.  Assembly is one gather and one sum of each word's terms, by
-the row sums the series product uses, and its ``error`` includes eps times
-the sum of the terms' moduli; later segments multiply the assembled series
-by their transports.
+and every requested word is assembled as  sum_i lam^i/i! * V[w(i)].  The
+support of a request, ``words=`` in any order or ``depth=`` (every word up
+to the depth), is compiled once per distinguished letter into an assembly
+plan (memoized in a bounded cache): the solve plan of V's set, used at the
+start, and of the factor-closed set transported after it, the support of
+the assembled series (the requested words and their tails), and every
+word's decomposition as flat (word, power, column of V, multiplicity)
+arrays.  The decompositions take no shuffle: part i of w is the expansion
+of w minus j^i over the words not ending in j, found by a recursion in
+exact integers whose memo lives for one compile.  Assembly is one gather
+and one sum of each word's terms, by the row sums the series product uses,
+and its ``error`` includes eps times the sum of the terms' moduli; later
+segments multiply the assembled series by their transports.
 
 Limits toward a second puncture are taken on a geometric radius ladder: the
 values carry powers of log r whose coefficients are recovered by weighted
@@ -75,8 +75,10 @@ from .transport import (
     _all_words,
     _check_tol,
     _intern,
+    _reuse,
     _row_sums,
     _solve_plan,
+    _support_of,
     _transport_segment,
     factor_closure,
     tail_closure,
@@ -229,18 +231,18 @@ class _AssemblyPlan:
     distinguished letter.
 
     ``support`` holds the requested words and their tails, the empty word
-    among them, by length and then by letters: the order of ``full_plan``'s
-    words, so a transport on ``full_plan`` times the series keeps this
-    support, and every ``extend`` reuses one split plan.  ``v_plan`` solves
-    the tail closure of the words the decompositions' parts use (none of
-    which ends in the letter), the set the start piece is solved on;
-    ``full_plan`` the factor closure of the requested words, those words and
-    the letter, the set every other piece is solved on.  Each word's
-    decomposition is flattened into terms, grouped by word and ordered by
-    power and then by letters: ``row`` (position in ``support``), ``power``,
-    ``column`` (position in ``v_plan``'s support) and ``multiplicity``;
-    ``_row_sums`` adds each row's terms in that order.  ``depth`` is the
-    longest requested length.
+    among them, in word order, as ``full_plan``'s words are listed, so a
+    transport on ``full_plan`` times the series keeps this support, and
+    every ``extend`` reuses one split plan.  ``v_plan`` solves the tail
+    closure of the words the decompositions' parts use (none of which ends
+    in the letter), the set the start piece is solved on; ``full_plan`` the
+    factor closure of the requested words, those words and the letter, the
+    set every other piece is solved on.  Each word's decomposition is
+    flattened into terms, grouped by word and ordered by power and then by
+    letters: ``row`` (position in ``support``), ``power``, ``column``
+    (position in ``v_plan``'s support) and ``multiplicity``; ``_row_sums``
+    adds each row's terms in that order.  ``depth`` is the longest
+    requested length.
     """
 
     support: _Support
@@ -266,59 +268,47 @@ class _AssemblyPlan:
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _assembly_plan(requested: tuple[Word, ...] | _Support, kj: int) -> _AssemblyPlan:
-    """Compile distinct requested words for assembly at the letter ``kj``.
+def _assembly_plan(requested: _Support, kj: int) -> _AssemblyPlan:
+    """Compile the support of the requested words for assembly at the letter
+    ``kj``.
 
-    A ``depth=`` request passes the support of every word up to its depth
-    that ``_all_words`` keeps: it is hashed by identity, so that a warm
-    request hashes no word.  Part i of a word is the
+    A support is hashed by identity, so that a warm request hashes no word;
+    a ``depth=`` request passes the support of every word up to its depth
+    that ``_all_words`` keeps, which is tail-closed and so is the plan's
+    support too.  Part i of a word is the
     :func:`~iterint.words._expansion` of the word minus kj^i; the expansions
     of one compile share one memo, dropped with the compile.  The parts of
     the tails' decompositions are tails of the requested words' parts, so
     adding the tails changes neither solve plan.
     """
-    if isinstance(requested, _Support):
-        requested = requested.words
-    words = tuple(tail_closure(requested))
+    words = tuple(tail_closure(requested.words))
+    support = _reuse(words, requested)
     word_of = {"".join(map(chr, w.letters)): w for w in words}
     j = chr(kj)
     memo: dict = {}
-    # each distinct word minus kj^i, with the start and the number of its
-    # expansion's terms in flat_words; each part as row, power, start, count
-    heads: dict[str, tuple[int, int]] = {}
-    flat_words, flat_multiplicities = [], []
-    row, power, start, count = [], [], [], []
+    # every term of every word's decomposition: row, power, part, multiplicity
+    row, power, parts, multiplicity = [], [], [], []
     for r, s in enumerate(word_of):
         for i in range(len(s) - len(s.rstrip(j)) + 1):
-            head = s[: len(s) - i]
-            if head not in heads:
-                expansion = _expansion(head, j, memo)
-                heads[head] = (len(flat_words), len(expansion))
-                flat_words += expansion
-                flat_multiplicities += expansion.values()
-            first, n = heads[head]
-            if n:
-                row.append(r)
-                power.append(i)
-                start.append(first)
-                count.append(n)
-    used = dict.fromkeys(flat_words)
-    part_words = [word_of[u] if u in word_of else Word(tuple(map(ord, u))) for u in used]
-    v_plan = _solve_plan(tuple(tail_closure(part_words)))
-    full_plan = _solve_plan(tuple(factor_closure([*requested, *part_words, word(kj)])))
+            expansion = _expansion(s[: len(s) - i], j, memo)
+            row += [r] * len(expansion)
+            power += [i] * len(expansion)
+            parts += expansion
+            multiplicity += expansion.values()
+    part_words = [word_of[u] if u in word_of else Word(tuple(map(ord, u))) for u in set(parts)]
+    v_plan = _solve_plan(_intern(tuple(tail_closure(part_words))))
+    closure = tuple(factor_closure([*requested.words, *part_words, word(kj)]))
+    full_plan = _solve_plan(_reuse(closure, support))
     column_of = {"".join(map(chr, w.letters)): c for c, w in enumerate(v_plan.support.words)}
-    # every part's terms, as positions in flat_words
-    count = np.array(count, dtype=np.intp)
-    terms = np.arange(count.sum()) + np.repeat(np.array(start) - (np.cumsum(count) - count), count)
     return _AssemblyPlan(
-        _intern(words),
-        max((len(w) for w in requested), default=0),
+        support,
+        max((len(w) for w in requested.words), default=0),
         v_plan,
         full_plan,
-        np.repeat(np.array(row, dtype=np.intp), count),
-        np.repeat(np.array(power, dtype=np.intp), count),
-        np.array([column_of[u] for u in flat_words], dtype=np.intp)[terms],
-        np.array(flat_multiplicities, dtype=float)[terms],
+        np.array(row, dtype=np.intp),
+        np.array(power, dtype=np.intp),
+        np.array([column_of[u] for u in parts], dtype=np.intp),
+        np.array(multiplicity, dtype=float),
     )
 
 
@@ -370,10 +360,8 @@ class RegularizedTransport:
         if words is None:
             requested = _all_words(tuple(range(basis.n_forms)), depth)
         else:
-            requested = tuple(
-                dict.fromkeys(w if isinstance(w, Word) else Word(tuple(w)) for w in words)
-            )
-            for w in requested:
+            requested = _support_of(w if isinstance(w, Word) else Word(tuple(w)) for w in words)
+            for w in requested.words:
                 if any(a >= basis.n_forms for a in w.letters):
                     raise ConfigError(f"word {w} uses letters outside the basis")
         plan = _assembly_plan(requested, ctx.form_label)
@@ -538,7 +526,7 @@ def asymptotic_expansion(
     rt = RegularizedTransport.along(
         line_path(p_j, points[0]),
         basis,
-        words=sorted(needed, key=lambda wd: (len(wd), wd.letters)),
+        words=needed,
         puncture=j,
         tol=tol,
     )

@@ -19,31 +19,33 @@ values with n-1 leading 0 letters.
 Composition: if a path runs alpha then beta, the total series is the
 series product T_beta * T_alpha (later piece on the left).
 
-A series is a complex array over a support, an interned tuple of words
-(``_Support``); ``coeffs``, the word -> coefficient mapping, is derived from
-it on first access.  Every plan is compiled once and cached on the supports
-themselves, compared by identity, so a warm request hashes no word.  A
-product compiles its pair of supports into a split plan, the support
-positions of u and v and the row of the word for every split u|v of every
-computable word, and the support of the result (one of the factors' own
-when the surviving words are theirs); it gathers and multiplies all splits
-at once and sums each row's terms in the order a scalar loop would.  The
-inverse runs a plan of the same splits, one word length at a time.
+Every word set is listed in one order, the order of :func:`all_words`:
+shortest first, then by the reversed letters, so that the first letter
+varies fastest.  A series is a complex array over a support, an interned
+tuple of words in that order (``_Support``), so each word set has one
+support; ``coeffs``, the word -> coefficient mapping, is derived from it on
+first access and iterates in that order.  Every plan is compiled once and
+cached on the supports themselves, compared by identity, so a warm request
+hashes no word.  A product compiles its pair of supports into a split plan,
+the support positions of u and v and the row of the word for every split
+u|v of every computable word, and the support of the result (one of the
+factors' own when the surviving words are theirs); it gathers and
+multiplies all splits at once and sums each row's terms in the order a
+scalar loop would.  The inverse runs a plan of the same splits, one word
+length at a time.
 
 Each segment is integrated on 16 Gauss-Legendre nodes (a literal table)
 with a spectral integration matrix, nested over word length, and bisected
 adaptively until direct and composed evaluations agree to tolerance; a child
-piece reuses its parent's solve of it as its own direct evaluation.  A word
-set is compiled once into a solve plan (memoized in a bounded cache, and looked up
-once per segment; a ``depth=`` request finds it by alphabet size and depth):
-its support, its first letters and, for each word length, the rows of the
-words' first letters and of their tails in the previous length.  A
-solve then runs one gathered product of forms and tail integrals, one
-product with the integration matrix and one with the end row per word
-length.  The same bisection
-serves the regularized line integral, whose pieces are depth-one series.
-The forms at all nodes of a piece come from one call of the array
-evaluator in ``surfaces`` (``_form_values``).
+piece reuses its parent's solve of it as its own direct evaluation.  A
+support is compiled once into a solve plan (memoized in a bounded cache, and
+looked up once per segment): its first letters and, for each word length,
+the rows of the words' first letters and of their tails in the previous
+length.  A solve then runs one gathered product of forms and tail
+integrals, one product with the integration matrix and one with the end row
+per word length.  The same bisection serves the regularized line integral,
+whose pieces are depth-one series.  The forms at all nodes of a piece come
+from one call of the array evaluator in ``surfaces`` (``_form_values``).
 """
 
 from __future__ import annotations
@@ -110,18 +112,25 @@ def _build_quadrature() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _NODES, _END_ROW, _INT_MATRIX = _build_quadrature()
 
 
+def _order(letters: tuple) -> tuple:
+    """The one word order: shortest first, then by the reversed letters, so
+    that the first letter varies fastest: (), 0, 1, 00, 10, 01, 11."""
+    return len(letters), letters[::-1]
+
+
 def all_words(alphabet: Sequence[int], depth: int) -> list[Word]:
-    """Every word over the alphabet up to the given length, shortest first.
+    """Every word over the alphabet up to the given length, in word order.
 
     Repeated calls return new lists of the same ``Word`` objects.
     """
-    return list(_all_words(tuple(alphabet), depth).words)
+    return list(_all_words(tuple(sorted(set(alphabet))), depth).words)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _all_words(alphabet: tuple[int, ...], depth: int) -> _Support:
-    """:func:`all_words` as one support, so that a request for every word up
-    to a depth reaches its cached plans without hashing a word."""
+    """:func:`all_words` over a sorted alphabet as one support, so that a
+    request for every word up to a depth reaches its cached plans without
+    hashing a word."""
     if depth < 0:
         raise ConfigError("depth must be nonnegative")
     out = [EMPTY_WORD]
@@ -133,14 +142,14 @@ def _all_words(alphabet: tuple[int, ...], depth: int) -> _Support:
 
 
 def _sorted_words(letters: set[tuple], known: dict[tuple, Word]) -> list[Word]:
-    """The words of ``letters`` and the empty word, shortest first and then by
-    letters; the ``Word`` objects of ``known`` are reused."""
+    """The words of ``letters`` and the empty word in word order; the
+    ``Word`` objects of ``known`` are reused."""
     letters.add(())
-    return [known[t] if t in known else Word(t) for t in sorted(sorted(letters), key=len)]
+    return [known[t] if t in known else Word(t) for t in sorted(letters, key=_order)]
 
 
 def factor_closure(words: Iterable[Word]) -> list[Word]:
-    """All contiguous subwords, shortest first; what a series product needs.
+    """All contiguous subwords, in word order; what a series product needs.
 
     Every subword is reached from a longer one by dropping its first or its
     last letter, and a subword is split further only when first seen.
@@ -161,7 +170,7 @@ def factor_closure(words: Iterable[Word]) -> list[Word]:
 
 
 def tail_closure(words: Iterable[Word]) -> list[Word]:
-    """All trailing subwords, shortest first; what a nested solve needs."""
+    """All trailing subwords, in word order; what a nested solve needs."""
     known = {w.letters: w for w in words}
     out = set(known)
     for ls in known:
@@ -202,11 +211,16 @@ def _intern(words: tuple[Word, ...]) -> _Support:
     return _Support(words)
 
 
+def _support_of(words: Iterable[Word]) -> _Support:
+    """The support of a word set: its distinct words in word order."""
+    return _intern(tuple(sorted(set(words), key=lambda w: _order(w.letters))))
+
+
 class _SplitPlan(NamedTuple):
     """Every split u|v of the words a product of two supports can compute.
 
-    ``support`` holds the surviving words, shortest first and in left-support
-    order within a length; ``index`` is each one's position in the left
+    ``support`` holds the surviving words in word order, as the left
+    support lists them; ``index`` is each one's position in the left
     support.  ``left``, ``right`` and ``row`` hold, for every split, the
     support positions of u and v and the position of its word in
     ``support``; the splits of one word are stored together, u shortest
@@ -226,8 +240,8 @@ def _split_plan(left_support: _Support, right_support: _Support, depth: int) -> 
 
     A word survives when every split u|v has u in the left support and v in
     the right one; the splits at u = () and u = w put it in both.  When the
-    survivors are all of one factor's words, in its order, the result keeps
-    that factor's support.
+    survivors are all of one factor's words, the result keeps that factor's
+    support.
     """
     lpos = {w.letters: k for k, w in enumerate(left_support.words)}
     rpos = {w.letters: k for k, w in enumerate(right_support.words)}
@@ -241,7 +255,6 @@ def _split_plan(left_support: _Support, right_support: _Support, depth: int) -> 
         vs = [rpos.get(ls[i:]) for i in range(n + 1)]
         if None not in us and None not in vs:
             kept.append((k, w, us, vs))
-    kept.sort(key=lambda t: len(t[1]))  # stable: left-support order within a length
     words = tuple(w for _, w, _, _ in kept)
     index = [k for k, _, _, _ in kept]
     left = [u for _, _, us, _ in kept for u in us]
@@ -335,19 +348,20 @@ class NcSeries:
     """Truncated series in noncommuting letters with explicit word support.
 
     A series is a read-only complex ``values`` array over ``support``, an
-    interned tuple of words.  Coefficients exist only for words in the
-    support; missing words are undefined, not zero, so partially supported
-    series stay honest under products.  The constructor copies the mapping
-    it is given into the array; ``coeffs`` is a read-only mapping from word
-    to coefficient, in support order, built on first access.
+    interned tuple of words in word order.  Coefficients exist only for
+    words in the support; missing words are undefined, not zero, so
+    partially supported series stay honest under products.  The constructor
+    copies the mapping it is given into the array, in word order whatever
+    the mapping's order; ``coeffs`` is a read-only mapping from word to
+    coefficient, in word order, built on first access.
     """
 
     __slots__ = ("support", "values", "depth", "_coeffs")
 
     def __init__(self, coeffs: Mapping[Word, complex], depth: int):
-        words = tuple(coeffs)
-        values = np.fromiter(coeffs.values(), dtype=complex, count=len(words))
-        self._assign(_intern(words), values, depth)
+        support = _support_of(coeffs)
+        values = np.fromiter((coeffs[w] for w in support.words), dtype=complex, count=len(support))
+        self._assign(support, values, depth)
 
     @classmethod
     def _of(cls, support: _Support, values: np.ndarray, depth: int) -> "NcSeries":
@@ -455,13 +469,13 @@ class _SolvePlan:
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _solve_plan(words: tuple[Word, ...]) -> _SolvePlan:
-    """Compile a tail-closed support (any order) for ``_solve_segment``."""
-    support = tuple(dict.fromkeys((EMPTY_WORD,) + words))
-    labels = sorted({w[0] for w in support[1:]})
+def _solve_plan(support: _Support) -> _SolvePlan:
+    """Compile a tail-closed support, the empty word first, for ``_solve_segment``."""
+    words = support.words
+    labels = sorted({w[0] for w in words[1:]})
     label_row = {a: k for k, a in enumerate(labels)}
     by_length: dict[int, list] = {}
-    for pos, w in enumerate(support[1:], 1):
+    for pos, w in enumerate(words[1:], 1):
         by_length.setdefault(len(w), []).append((pos, w.letters))
     levels = []
     rows = {(): 0}
@@ -480,13 +494,7 @@ def _solve_plan(words: tuple[Word, ...]) -> _SolvePlan:
         )
         levels.append(tuple(np.array(a, dtype=np.intp) for a in level))
         rows = {ls: k for k, (_, ls) in enumerate(group)}
-    return _SolvePlan(_intern(support), tuple(labels), tuple(levels))
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _depth_plan(n_forms: int, depth: int) -> _SolvePlan:
-    """The solve plan of every word over ``n_forms`` letters up to ``depth``."""
-    return _solve_plan(_all_words(tuple(range(n_forms)), depth).words)
+    return _SolvePlan(support, tuple(labels), tuple(levels))
 
 
 def _solve_segment(
@@ -577,8 +585,8 @@ def segment_transport(
     instead; with ``exempt`` set, the start may sit on that puncture and its
     guard is waived there.  Returns the series and an error estimate.
     """
-    full = _solve_plan(tuple(words_full))
-    start = full if zero_words is None else _solve_plan(tuple(zero_words))
+    full = _solve_plan(_support_of([EMPTY_WORD, *words_full]))
+    start = full if zero_words is None else _solve_plan(_support_of([EMPTY_WORD, *zero_words]))
     return _transport_segment(basis, seg, full, start, exempt, tol)
 
 
@@ -640,13 +648,13 @@ def transport_series(
     if (depth is None) == (words is None):
         raise ConfigError("give exactly one of depth= or words=")
     if depth is not None:
-        plan = _depth_plan(basis.n_forms, depth)
+        plan = _solve_plan(_all_words(tuple(range(basis.n_forms)), depth))
     else:
         wordlist = factor_closure(words)
         for w in wordlist:
             if any(k >= basis.n_forms for k in w.letters):
                 raise ConfigError(f"word {w} uses letters outside the basis")
-        plan = _solve_plan(tuple(wordlist))
+        plan = _solve_plan(_intern(tuple(wordlist)))
 
     seg_tol = tol / len(path.segments)
     total: NcSeries | None = None

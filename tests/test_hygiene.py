@@ -1,10 +1,14 @@
 """Source hygiene: no module of the package or its tests imports a name it
 never uses, no private module-level name of the package is left without
-a use, every public one is used or exported, and every cache of the
-package is bounded.  Standard library only: the checks walk each file's
-syntax tree."""
+a use, every public one is used or exported, every cache of the package is
+bounded, and importing the package leaves its heavy neighbours out.
+Standard library only: the checks walk each file's syntax tree, and the
+import check runs a fresh interpreter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -211,3 +215,23 @@ def test_checker_finds_unbounded_caches():
 
 def test_caches_are_bounded():
     assert unbounded_caches([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+def test_import_leaves_heavy_modules_out():
+    # a fresh process that imports the package and its CLI loads neither
+    # numpy.polynomial (the Gauss-Legendre rule is a literal table) nor
+    # scipy nor mpmath (test references only)
+    code = (
+        "import sys, iterint, iterint.cli\n"
+        "heavy = ('numpy.polynomial', 'scipy', 'mpmath')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(heavy)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

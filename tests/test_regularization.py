@@ -15,7 +15,7 @@ from iterint.errors import (
     MissingLabelError,
     NotGoodPunctureError,
 )
-from iterint.paths import LineSegment, LoopSpec, Path, line_path
+from iterint.paths import ArcSegment, LineSegment, LoopSpec, Path, line_path
 from iterint.regularization import (
     RegularizedTransport,
     associator,
@@ -31,7 +31,7 @@ from iterint.surfaces import FormBasis, SurfaceConfig, eval_form
 import iterint.regularization as regularization_mod
 import iterint.transport as transport_mod
 import iterint.words as words_mod
-from iterint.transport import all_words, iterated_integral, transport_series
+from iterint.transport import NcSeries, all_words, iterated_integral, transport_series
 from iterint.words import (
     EMPTY_WORD,
     GeneralizedWord,
@@ -115,6 +115,20 @@ class TestRegLineIntegral:
         r = reg_line_integral(p, 0, b)
         want = cmath.log(0.5 + 0.5j) - 1j * cmath.phase(0.5)
         assert abs(r.value - want) < 1e-13
+
+    def test_arc_whose_circle_meets_the_pole(self):
+        # the arc from 2 to 1+i lies on the circle |z - 1| = 1, which passes
+        # through the pole 0, but stays sqrt(2) away from it: the finite part
+        # is log(1+i), and the convergent word (0, 1) equals its value along
+        # the straight path from 0 to 1+i
+        b = FormBasis.genus0(SurfaceConfig(0, (0.0, 3.0)))
+        bent = Path((LineSegment(0, 2), ArcSegment(1, 1.0, 0.0, math.pi / 2)), reg_start=0)
+        lam = reg_line_integral(bent, 0, b).value
+        assert abs(lam - cmath.log(1 + 1j)) <= 1e-15
+        around = RegularizedTransport.along(bent, b, words=[word(0, 1)])
+        straight = RegularizedTransport.along(line_path(0, 1 + 1j, reg_start=0), b, words=[word(0, 1)])
+        gap = abs(around.value(word(0, 1)) - straight.value(word(0, 1)))
+        assert gap <= around.error + straight.error
 
     def test_torus_subtraction_matches_mpmath(self, torus3):
         s, b = torus3
@@ -313,7 +327,7 @@ class TestRegIterated:
 
     @staticmethod
     def _words_plan(requested, kj):
-        return regularization_mod._assembly_plan(tuple(dict.fromkeys(requested)), kj)
+        return regularization_mod._assembly_plan(transport_mod._support_of(requested), kj)
 
     @staticmethod
     def _depth_plan(n_forms, depth, kj):
@@ -467,10 +481,11 @@ class TestRegIterated:
     @staticmethod
     def _oracle_arrays(requested, kj):
         """Support, V's support and the plan arrays, from the oracle's
-        decompositions of the requested words and their tails."""
+        decompositions of the requested words and their tails, each support
+        in word order: shortest first, then by the reversed letters."""
         def tails(words):
             closed = {w[i:] for w in words for i in range(len(w) + 1)}
-            return sorted(closed, key=lambda t: (len(t), t))
+            return sorted(closed, key=lambda t: (len(t), t[::-1]))
 
         support = tails(w.letters for w in requested)
         parts = [strip_decomposition(w, kj) for w in support]
@@ -497,7 +512,7 @@ class TestRegIterated:
             return expansion(s, j, memo)
 
         monkeypatch.setattr(regularization_mod, "_expansion", spy)
-        requested = (word(0, 1, 1), word(1, 0, 1, 1))
+        requested = transport_mod._support_of((word(0, 1, 1), word(1, 0, 1, 1)))
         for _ in range(2):
             memos.append([])
             regularization_mod._assembly_plan.__wrapped__(requested, 1)
@@ -878,3 +893,46 @@ class TestMonodromy:
         lhs = monodromy(b, loop, 1, depth=2)
         rhs = monodromy(b, loop, 2, depth=2).product(phi.series)
         assert lhs.max_abs_diff(rhs) < 1e-9
+
+
+class TestOneWordOrder:
+    """Every support lists its words as ``all_words`` does, so one word set
+    has one support object, and with it one set of compiled plans."""
+
+    def test_same_words_give_one_support(self, sphere01):
+        # supports are interned in a bounded cache, so start from an empty one
+        transport_mod._all_words.cache_clear()
+        transport_mod._intern.cache_clear()
+        _, b = sphere01
+        words = all_words(range(2), 3)
+        full = transport_mod._all_words((0, 1), 3)
+        shuffled = random.Random(5).sample(words, len(words))
+        as_dicts = [NcSeries({w: 1.0 for w in order}, 3) for order in (words, shuffled)]
+        path = line_path(0.0, 0.4 + 0.3j)
+        supports = [s.support for s in as_dicts] + [
+            transport_series(line_path(0.2, 0.4 + 0.3j), b, words=shuffled).series.support,
+            RegularizedTransport.along(path, b, words=shuffled, puncture=0).series().support,
+            RegularizedTransport.along(path, b, depth=3, puncture=0).series().support,
+        ]
+        assert all(support is full for support in supports)
+        # a word set that is not every word up to a depth: coefficients are
+        # listed in word order whatever the order they came in
+        some = [word(0, 1), EMPTY_WORD, word(1, 0), word(1)]
+        series = [NcSeries({w: 1.0 for w in order}, 2) for order in (some, some[::-1])]
+        assert series[0].support is series[1].support
+        assert list(series[0].coeffs) == [EMPTY_WORD, word(1), word(1, 0), word(0, 1)]
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_depth_results_share_the_all_words_support(self, genus, sphere01, torus3):
+        s, b = (sphere01, torus3)[genus]
+        i, j, off = ((1, 0, 0.2 + 0.1j), (2, 1, 0.3 + 0.2j))[genus]
+        full = transport_mod._all_words(tuple(range(b.n_forms)), 3)
+        base = s.punctures[j] + 0.5 * (s.punctures[i] - s.punctures[j])
+        results = [
+            transport_series(line_path(off, off + 0.1), b, depth=3).series,
+            RegularizedTransport.along(line_path(s.punctures[j], base), b, depth=3, puncture=j).series(),
+            associator(b, i, j, depth=3).series,
+            monodromy(b, LoopSpec(i, 1, basepoint=base), j, depth=3),
+        ]
+        assert all(r.support is full for r in results)
+        assert list(results[0].coeffs) == all_words(range(b.n_forms), 3)
