@@ -74,8 +74,6 @@ from .transport import (
     _adaptive_segment,
     _all_words,
     _check_tol,
-    _intern,
-    _reuse,
     _row_sums,
     _solve_plan,
     _support_of,
@@ -281,9 +279,8 @@ def _assembly_plan(requested: _Support, kj: int) -> _AssemblyPlan:
     the tails' decompositions are tails of the requested words' parts, so
     adding the tails changes neither solve plan.
     """
-    words = tuple(tail_closure(requested.words))
-    support = _reuse(words, requested)
-    word_of = {"".join(map(chr, w.letters)): w for w in words}
+    support = tail_closure(requested.words)
+    word_of = {"".join(map(chr, w.letters)): w for w in support.words}
     j = chr(kj)
     memo: dict = {}
     # every term of every word's decomposition: row, power, part, multiplicity
@@ -296,9 +293,8 @@ def _assembly_plan(requested: _Support, kj: int) -> _AssemblyPlan:
             parts += expansion
             multiplicity += expansion.values()
     part_words = [word_of[u] if u in word_of else Word(tuple(map(ord, u))) for u in set(parts)]
-    v_plan = _solve_plan(_intern(tuple(tail_closure(part_words))))
-    closure = tuple(factor_closure([*requested.words, *part_words, word(kj)]))
-    full_plan = _solve_plan(_reuse(closure, support))
+    v_plan = _solve_plan(tail_closure(part_words))
+    full_plan = _solve_plan(factor_closure([*requested.words, *part_words, word(kj)]))
     column_of = {"".join(map(chr, w.letters)): c for c, w in enumerate(v_plan.support.words)}
     return _AssemblyPlan(
         support,

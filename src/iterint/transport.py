@@ -21,18 +21,18 @@ series product T_beta * T_alpha (later piece on the left).
 
 Every word set is listed in one order, the order of :func:`all_words`:
 shortest first, then by the reversed letters, so that the first letter
-varies fastest.  A series is a complex array over a support, an interned
-tuple of words in that order (``_Support``), so each word set has one
-support; ``coeffs``, the word -> coefficient mapping, is derived from it on
-first access and iterates in that order.  Every plan is compiled once and
-cached on the supports themselves, compared by identity, so a warm request
-hashes no word.  A product compiles its pair of supports into a split plan,
-the support positions of u and v and the row of the word for every split
-u|v of every computable word, and the support of the result (one of the
-factors' own when the surviving words are theirs); it gathers and
-multiplies all splits at once and sums each row's terms in the order a
-scalar loop would.  The inverse runs a plan of the same splits, one word
-length at a time.
+varies fastest.  A series is a complex array over a support, the tuple of
+its words in that order (``_Support``), interned in a weak table so that a
+word set has one support while anything holds it; ``coeffs``, the word ->
+coefficient mapping, is derived from it on first access and iterates in that
+order.  Every plan is compiled once into a bounded cache keyed by supports,
+compared by identity, so a warm request hashes no word.  A product compiles
+its pair of supports into a split plan, the support positions of u and v and
+the row of the word for every split u|v of every computable word, and the
+support of the result (one of the factors' own when the surviving words are
+theirs); it gathers and multiplies all splits at once and sums each row's
+terms in the order a scalar loop would.  The inverse runs a plan of the same
+splits, one word length at a time.
 
 Each segment is integrated on 16 Gauss-Legendre nodes (a literal table)
 with a spectral integration matrix, nested over word length, and bisected
@@ -51,6 +51,7 @@ from one call of the array evaluator in ``surfaces`` (``_form_values``).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -141,15 +142,16 @@ def _all_words(alphabet: tuple[int, ...], depth: int) -> _Support:
     return _intern(tuple(out))
 
 
-def _sorted_words(letters: set[tuple], known: dict[tuple, Word]) -> list[Word]:
-    """The words of ``letters`` and the empty word in word order; the
+def _sorted_words(letters: set[tuple], known: dict[tuple, Word]) -> _Support:
+    """The support of the words of ``letters`` and the empty word; the
     ``Word`` objects of ``known`` are reused."""
     letters.add(())
-    return [known[t] if t in known else Word(t) for t in sorted(letters, key=_order)]
+    words = tuple(known[t] if t in known else Word(t) for t in sorted(letters, key=_order))
+    return _intern(words)
 
 
-def factor_closure(words: Iterable[Word]) -> list[Word]:
-    """All contiguous subwords, in word order; what a series product needs.
+def factor_closure(words: Iterable[Word]) -> _Support:
+    """The support of all contiguous subwords; what a series product needs.
 
     Every subword is reached from a longer one by dropping its first or its
     last letter, and a subword is split further only when first seen.
@@ -169,8 +171,8 @@ def factor_closure(words: Iterable[Word]) -> list[Word]:
     return _sorted_words(out, known)
 
 
-def tail_closure(words: Iterable[Word]) -> list[Word]:
-    """All trailing subwords, in word order; what a nested solve needs."""
+def tail_closure(words: Iterable[Word]) -> _Support:
+    """The support of all trailing subwords; what a nested solve needs."""
     known = {w.letters: w for w in words}
     out = set(known)
     for ls in known:
@@ -184,12 +186,13 @@ def tail_closure(words: Iterable[Word]) -> list[Word]:
 class _Support:
     """The words of a series, in order; hashed and compared by identity.
 
-    Plans are cached on supports, so a series computed on a plan's support
-    reaches the next plan without hashing a word.  ``position`` (word to
-    index) is built on first use.
+    Only ``_intern`` makes supports, one per word set, and plans are
+    memoized by support, so a series computed on a plan's support reaches
+    the next plan without hashing a word.  ``position`` (word to index) is
+    built on first use.
     """
 
-    __slots__ = ("words", "_position")
+    __slots__ = ("words", "_position", "__weakref__")
 
     def __init__(self, words: tuple[Word, ...]):
         self.words = words
@@ -205,10 +208,17 @@ class _Support:
         return self._position
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+# word tuple -> its support; an entry lasts while a series, plan or cache
+# holds the support, so the table needs no bound of its own
+_SUPPORTS = weakref.WeakValueDictionary()
+
+
 def _intern(words: tuple[Word, ...]) -> _Support:
-    """The support of a word tuple, one object while it stays cached."""
-    return _Support(words)
+    """The one support of a word tuple in word order."""
+    support = _SUPPORTS.get(words)
+    if support is None:
+        support = _SUPPORTS[words] = _Support(words)
+    return support
 
 
 def _support_of(words: Iterable[Word]) -> _Support:
@@ -263,15 +273,7 @@ def _split_plan(left_support: _Support, right_support: _Support, depth: int) -> 
     arrays = [np.array(a, dtype=np.intp) for a in (index, left, right, row)]
     for a in arrays:
         a.flags.writeable = False
-    return _SplitPlan(_reuse(words, left_support, right_support), *arrays)
-
-
-def _reuse(words: tuple[Word, ...], *candidates: _Support) -> _Support:
-    """The first candidate that holds exactly ``words``, else their interned support."""
-    for support in candidates:
-        if support.words == words:
-            return support
-    return _intern(words)
+    return _SplitPlan(_intern(words), *arrays)
 
 
 class _InversePlan(NamedTuple):
@@ -315,7 +317,7 @@ def _inverse_plan(support: _Support, depth: int) -> _InversePlan:
         defined[pos] = True
     ok = defined[plan.index]
     words = tuple(compress(plan.support.words, ok))
-    return _InversePlan(_reuse(words, support), empty, tuple(levels), plan.index[ok])
+    return _InversePlan(_intern(words), empty, tuple(levels), plan.index[ok])
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -431,7 +433,7 @@ class NcSeries:
     def max_abs_diff(self, other: "NcSeries", words: Iterable[Word] | None = None) -> float:
         """Largest |difference| over the words both supports (and ``words``,
         if given) hold; inf when there are none."""
-        if words is None and self.support.words == other.support.words:
+        if words is None and self.support is other.support:
             diff = self.values - other.values
         else:
             keys = set(self.coeffs) & set(other.coeffs)
@@ -650,11 +652,11 @@ def transport_series(
     if depth is not None:
         plan = _solve_plan(_all_words(tuple(range(basis.n_forms)), depth))
     else:
-        wordlist = factor_closure(words)
-        for w in wordlist:
+        closure = factor_closure(words)
+        for w in closure.words:
             if any(k >= basis.n_forms for k in w.letters):
                 raise ConfigError(f"word {w} uses letters outside the basis")
-        plan = _solve_plan(_intern(tuple(wordlist)))
+        plan = _solve_plan(closure)
 
     seg_tol = tol / len(path.segments)
     total: NcSeries | None = None

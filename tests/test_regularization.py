@@ -1,8 +1,10 @@
 """Regularized transport, zeta extraction, associator, monodromy."""
 
 import cmath
+import gc
 import math
 import random
+import weakref
 
 import mpmath
 import numpy as np
@@ -900,9 +902,6 @@ class TestOneWordOrder:
     has one support object, and with it one set of compiled plans."""
 
     def test_same_words_give_one_support(self, sphere01):
-        # supports are interned in a bounded cache, so start from an empty one
-        transport_mod._all_words.cache_clear()
-        transport_mod._intern.cache_clear()
         _, b = sphere01
         words = all_words(range(2), 3)
         full = transport_mod._all_words((0, 1), 3)
@@ -921,6 +920,21 @@ class TestOneWordOrder:
         series = [NcSeries({w: 1.0 for w in order}, 2) for order in (some, some[::-1])]
         assert series[0].support is series[1].support
         assert list(series[0].coeffs) == [EMPTY_WORD, word(1), word(1, 0), word(0, 1)]
+
+    def test_support_outlasts_other_interning(self):
+        # interning many other word sets does not give these words a second support
+        full = transport_mod._all_words((0, 1), 4)
+        for k in range(1, 41):
+            transport_mod._support_of([word(*(0,) * k)])
+        assert transport_mod._support_of(full.words) is full
+
+    def test_unheld_support_is_collected(self):
+        support = NcSeries({word(7, 3, 5): 1.0, word(5, 3, 7): 2.0}, 3).support
+        held, words = weakref.ref(support), support.words
+        del support
+        gc.collect()
+        assert held() is None
+        assert words not in transport_mod._SUPPORTS
 
     @pytest.mark.parametrize("genus", [0, 1])
     def test_depth_results_share_the_all_words_support(self, genus, sphere01, torus3):

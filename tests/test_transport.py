@@ -88,7 +88,7 @@ class TestWordSets:
             all_words(range(2), -1)
 
     def test_factor_closure(self):
-        ws = factor_closure([word(0, 1, 2)])
+        ws = factor_closure([word(0, 1, 2)]).words
         assert set(ws) == {
             EMPTY_WORD,
             word(0), word(1), word(2),
@@ -97,7 +97,7 @@ class TestWordSets:
         }
 
     def test_tail_closure(self):
-        ws = tail_closure([word(0, 1, 2)])
+        ws = tail_closure([word(0, 1, 2)]).words
         assert set(ws) == {EMPTY_WORD, word(2), word(1, 2), word(0, 1, 2)}
 
 
@@ -248,15 +248,13 @@ class TestNcSeries:
         # a word's sum does not depend on the other words of the support
         words = all_words(range(letters), 4)
         full_x, full_y = (NcSeries({w: coefficient() for w in words}, 4) for _ in range(2))
-        sub = factor_closure(rng.sample(words, 4))
+        sub = factor_closure(rng.sample(words, 4)).words
         sub_x, sub_y = (NcSeries({w: s.coeffs[w] for w in sub}, 4) for s in (full_x, full_y))
         full, restricted = plain(full_x.product(full_y)), plain(check_product(sub_x, sub_y))
         assert all(bits(c) == bits(full[w]) for w, c in restricted.items())
-        # the same words on a distinct support object, as after the intern
-        # cache lets a support go
-        transport_mod._intern.cache_clear()
+        # the same words have the one support
         shifted = NcSeries({w: v + rng.uniform(-1, 1) for w, v in a.coeffs.items()}, a.depth)
-        assert shifted.support is not a.support
+        assert shifted.support is a.support
         for x, y in ((a, shifted), (shifted, a), (a, b), (ab, c)):
             px, py = plain(x), plain(y)
             want = max((abs(px[w] - py[w]) for w in px.keys() & py.keys()), default=math.inf)
@@ -289,8 +287,8 @@ class TestTransportKnownValues:
         # pins the stored-letter convention.
         _, b = sphere01
         req = [word(0, 1), word(0, 0, 1), word(1)]
-        full = factor_closure(req)
-        zw = [w for w in tail_closure(req) if w.is_empty or w.letters[-1] != 0]
+        full = factor_closure(req).words
+        zw = [w for w in tail_closure(req).words if w.is_empty or w.letters[-1] != 0]
         series, err = segment_transport(
             b, LineSegment(0.0, 0.6), full, zero_words=zw, exempt=0, tol=1e-13
         )
@@ -307,7 +305,7 @@ class TestTransportKnownValues:
         with pytest.raises(ConfigError, match=r"Word\(0,1\) but not its tail Word\(1\)"):
             segment_transport(b, seg, [word(0, 1)])
         with pytest.raises(ConfigError, match=r"tail Word\(1,0\)"):
-            segment_transport(b, seg, factor_closure([word(0, 1)]), zero_words=[word(0, 1, 0)])
+            segment_transport(b, seg, factor_closure([word(0, 1)]).words, zero_words=[word(0, 1, 0)])
 
     def test_loop_depth_one(self, sphere01):
         s, b = sphere01
@@ -476,7 +474,7 @@ class TestBatchedSolve:
                 Word(tuple(rng.randrange(n) for _ in range(rng.randint(1, 5))))
                 for _ in range(rng.randint(1, 12))
             ]
-            support = tail_closure(drawn)
+            support = list(tail_closure(drawn).words)
             rng.shuffle(support)  # the package's support of it is in word order
             zero = [w for w in support if w.is_empty or w[-1] != singular]
             leg = LineSegment(b.surface.punctures[start], end)
