@@ -114,9 +114,15 @@ class GoodPunctureCtx:
     residue_probe: complex
 
 
-def good_puncture_ctx(basis: FormBasis, j: int) -> GoodPunctureCtx:
+def _puncture(basis: FormBasis, j: int) -> complex:
+    """The position of puncture ``j``, checked before it is indexed."""
     if not 0 <= j < basis.surface.n_punctures:
         raise ConfigError(f"puncture index {j} out of range")
+    return basis.surface.punctures[j]
+
+
+def good_puncture_ctx(basis: FormBasis, j: int) -> GoodPunctureCtx:
+    p = _puncture(basis, j)
     singular = basis.singular_forms_at(j)
     if len(singular) != 1:
         raise NotGoodPunctureError(
@@ -128,7 +134,7 @@ def good_puncture_ctx(basis: FormBasis, j: int) -> GoodPunctureCtx:
             f"form {label} has residue {basis.residue(label, j)} at puncture {j}, need +1"
         )
     eps = 1e-5
-    probe_pt = basis.surface.punctures[j] + eps * complex(0.6, 0.8)
+    probe_pt = p + eps * complex(0.6, 0.8)
     probe = eps * complex(0.6, 0.8) * eval_form(basis, label, probe_pt, guard=0.0)
     if abs(probe - 1.0) > 1e-3:
         raise NotGoodPunctureError(
@@ -139,11 +145,9 @@ def good_puncture_ctx(basis: FormBasis, j: int) -> GoodPunctureCtx:
 
 def _puncture_at(basis: FormBasis, z: complex, hint: int | None) -> int:
     if hint is not None:
-        if abs(z - basis.surface.punctures[hint]) > _START_TOL:
-            raise EndpointMismatchError(
-                f"path start {z} is not puncture {hint} "
-                f"({basis.surface.punctures[hint]})"
-            )
+        p = _puncture(basis, hint)
+        if abs(z - p) > _START_TOL:
+            raise EndpointMismatchError(f"path start {z} is not puncture {hint} ({p})")
         return hint
     for idx, p in enumerate(basis.surface.punctures):
         if abs(z - p) <= _START_TOL:
@@ -613,8 +617,8 @@ def associator(
     """
     if i == j:
         raise ConfigError("associator needs two distinct punctures")
-    p_i = basis.surface.punctures[i]
-    p_j = basis.surface.punctures[j]
+    p_i = _puncture(basis, i)
+    p_j = _puncture(basis, j)
     results = []
     errors = []
     for f in _PROBE_FRACTIONS:
@@ -652,9 +656,10 @@ def monodromy(
     against an associator, place the basepoint on the segment between the two
     punctures so the directions agree with its convention.
     """
+    p_j = _puncture(basis, j)
     circuit = loop_around(loop, basis.surface)
     l_j = RegularizedTransport.along(
-        line_path(basis.surface.punctures[j], loop.basepoint),
+        line_path(p_j, loop.basepoint),
         basis,
         depth=depth,
         puncture=j,

@@ -431,14 +431,18 @@ class NcSeries:
         return NcSeries._of(plan.support, inv[plan.index], self.depth)
 
     def max_abs_diff(self, other: "NcSeries", words: Iterable[Word] | None = None) -> float:
-        """Largest |difference| over the words both supports (and ``words``,
-        if given) hold; inf when there are none."""
+        """Largest |difference| over the given ``words``, or else over the
+        words both supports hold; inf when there are none, or when a given
+        word is missing from either support."""
         if words is None and self.support is other.support:
             diff = self.values - other.values
         else:
             keys = set(self.coeffs) & set(other.coeffs)
             if words is not None:
-                keys &= set(words)
+                words = set(words)
+                if not words <= keys:
+                    return math.inf
+                keys = words
             diff = np.array([self.coeffs[w] - other.coeffs[w] for w in keys], dtype=complex)
         return float(np.abs(diff).max()) if diff.size else math.inf
 

@@ -66,6 +66,12 @@ class TestPolylog:
         assert abs(complex(*by_key["0-1"]["value"]) + LI2_06) < 1e-12
         assert abs(complex(*by_key["0"]["value"]) - math.log(0.6)) < 1e-12
 
+    def test_reg_start_out_of_range_exits_2(self, tmp_path, capsys):
+        segment = {"type": "line", "start": [0, 0], "end": [0.6, 0]}
+        job = {"basis": SPHERE, "path": {"segments": [segment], "reg_start": 5}, "words": [[0, 1]]}
+        assert main(["polylog", "--config", write_config(tmp_path, "job.json", job)]) == 2
+        assert "puncture index 5 out of range" in capsys.readouterr().err
+
     def test_reg_end_path_exits_2(self, tmp_path, capsys):
         # only the start of a path is regularized; a path that ends on a
         # puncture is rejected, not silently integrated

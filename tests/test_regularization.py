@@ -82,8 +82,15 @@ class TestGoodPuncture:
 
     def test_index_validation(self, sphere01):
         _, b = sphere01
-        with pytest.raises(ConfigError):
-            good_puncture_ctx(b, 5)
+        calls = (
+            lambda: good_puncture_ctx(b, 5),
+            lambda: associator(b, 5, 0, depth=2),
+            lambda: monodromy(b, LoopSpec(1, 1, basepoint=0.5), 5, depth=2),
+            lambda: RegularizedTransport.along(line_path(0, 0.5), b, depth=2, puncture=5),
+        )
+        for call in calls:
+            with pytest.raises(ConfigError, match="puncture index 5 out of range"):
+                call()
 
 
 class TestRegLineIntegral:

@@ -261,6 +261,16 @@ class TestNcSeries:
             # numpy's and Python's complex abs may differ in the last bit
             assert x.max_abs_diff(y) == pytest.approx(want, rel=1e-15)
 
+    def test_max_abs_diff_misses_no_given_word(self):
+        # a given word that one side lacks makes the difference unbounded;
+        # without words= only the shared words are compared
+        one = NcSeries({EMPTY_WORD: 1}, 4)
+        more = NcSeries({EMPTY_WORD: 1, word(0): 3}, 4)
+        for x, y in ((one, more), (more, one)):
+            assert x.max_abs_diff(y, words=[EMPTY_WORD, word(0)]) == math.inf
+            assert x.max_abs_diff(y, words=[EMPTY_WORD]) == 0.0
+            assert x.max_abs_diff(y) == 0.0
+
     def test_invert_needs_constant_term(self):
         with pytest.raises(ConfigError):
             NcSeries({EMPTY_WORD: 0j, word(0): 1.0}, 1).invert()
