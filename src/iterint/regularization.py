@@ -115,7 +115,8 @@ class GoodPunctureCtx:
 
 
 def _puncture(basis: FormBasis, j: int) -> complex:
-    """The position of puncture ``j``, checked before it is indexed."""
+    """The position of puncture ``j``; ConfigError when there is no such
+    puncture."""
     if not 0 <= j < basis.surface.n_punctures:
         raise ConfigError(f"puncture index {j} out of range")
     return basis.surface.punctures[j]
