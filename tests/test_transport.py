@@ -314,8 +314,9 @@ class TestTransportKnownValues:
         seg = LineSegment(0.2, 0.6)
         with pytest.raises(ConfigError, match=r"Word\(0,1\) but not its tail Word\(1\)"):
             segment_transport(b, seg, [word(0, 1)])
+        full = factor_closure([word(0, 1)]).words
         with pytest.raises(ConfigError, match=r"tail Word\(1,0\)"):
-            segment_transport(b, seg, factor_closure([word(0, 1)]).words, zero_words=[word(0, 1, 0)])
+            segment_transport(b, seg, full, zero_words=[word(0, 1, 0)])
 
     def test_loop_depth_one(self, sphere01):
         s, b = sphere01
