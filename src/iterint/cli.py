@@ -114,14 +114,11 @@ def _word_entry(item) -> tuple[str, Word | GeneralizedWord]:
     raise ConfigError(f"cannot read word entry {item!r}")
 
 
-def _plain_words(objs) -> set[Word]:
-    seen: set[Word] = set()
-    for obj in objs:
-        if isinstance(obj, Word):
-            seen.add(obj)
-        else:
-            seen.update(w for w, _ in obj.items())
-    return seen
+def _limit_row(labels: dict, basis: FormBasis, target: int, base: int, obj, tol: float) -> dict:
+    """One report row of a regularized limit toward puncture ``target``
+    from ``base``: the ``labels``, the constant term and its error."""
+    exp = asymptotic_expansion(basis, target, base, obj, tol=tol)
+    return {**labels, "value": complex_to_json(exp.coefficients[0]), "error": exp.error}
 
 
 # ---------------------------------------------------------------------------
@@ -139,33 +136,21 @@ def _cmd_polylog(args) -> tuple[dict, bool]:
     if "limit" in cfg:
         target = int(_require(cfg["limit"], "target"))
         base = int(_require(cfg["limit"], "base"))
-
-        def one(key, obj):
-            exp = asymptotic_expansion(basis, target, base, obj, tol=tol)
-            return {
-                "key": key,
-                "value": complex_to_json(exp.coefficients[0]),
-                "error": exp.error,
-            }
-
-        rows = [one(key, obj) for key, obj in entries]
+        rows = [_limit_row({"key": key}, basis, target, base, obj, tol) for key, obj in entries]
         mode = "limit"
     else:
         path = path_from_json(cfg["path"])
+        objs = [obj for _, obj in entries]
         if path.reg_start is not None:
-            rt = RegularizedTransport.along(
-                path, basis, words=_plain_words(obj for _, obj in entries), tol=tol
-            )
-            rows = [
-                {"key": k, "value": complex_to_json(rt.value(obj)), "error": rt.error}
-                for k, obj in entries
-            ]
+            rt = RegularizedTransport.along(path, basis, words=objs, tol=tol)
+            values, error = [rt.value(obj) for obj in objs], rt.error
         else:
-            res = iterated_integral(path, [obj for _, obj in entries], basis, tol)
-            rows = [
-                {"key": k, "value": complex_to_json(v), "error": res.error}
-                for (k, _), v in zip(entries, res.values)
-            ]
+            res = iterated_integral(path, objs, basis, tol)
+            values, error = res.values, res.error
+        rows = [
+            {"key": k, "value": complex_to_json(v), "error": error}
+            for (k, _), v in zip(entries, values)
+        ]
         mode = "path"
     rows.sort(key=lambda r: r["key"])
     return {"command": "polylog", "mode": mode, "results": rows}, True
@@ -186,18 +171,10 @@ def _cmd_mzv(args) -> tuple[dict, bool]:
             key, obj = _word_entry(entry)
             jobs.append((i, j, key, obj))
     jobs.sort(key=lambda t: (t[0], t[1], t[2]))
-
-    def one(i, j, key, obj):
-        exp = asymptotic_expansion(basis, i, j, obj, tol=tol)
-        return {
-            "i": i,
-            "j": j,
-            "word": key,
-            "value": complex_to_json(exp.coefficients[0]),
-            "error": exp.error,
-        }
-
-    return {"command": "mzv", "rows": [one(*job) for job in jobs]}, True
+    rows = [
+        _limit_row({"i": i, "j": j, "word": key}, basis, i, j, obj, tol) for i, j, key, obj in jobs
+    ]
+    return {"command": "mzv", "rows": rows}, True
 
 
 # ---------------------------------------------------------------------------

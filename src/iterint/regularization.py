@@ -74,16 +74,15 @@ from .transport import (
     _adaptive_segment,
     _all_words,
     _check_tol,
+    _requested,
     _row_sums,
     _solve_plan,
-    _support_of,
     _transport_segment,
     factor_closure,
     tail_closure,
     transport_series,
 )
 from .words import (
-    EMPTY_WORD,
     GeneralizedWord,
     Word,
     _as_gw,
@@ -350,21 +349,16 @@ class RegularizedTransport:
         basis: FormBasis,
         *,
         depth: int | None = None,
-        words: Iterable[Word] | None = None,
+        words: Iterable | None = None,
         puncture: int | None = None,
         tol: float = 1e-12,
     ) -> "RegularizedTransport":
-        if (depth is None) == (words is None):
-            raise ConfigError("give exactly one of depth= or words=")
+        """The regularized transport of every word up to ``depth``, or of
+        ``words`` (words, letter sequences or generalized words), from the
+        puncture the path starts on."""
+        requested = _requested(basis, depth, words)
         j = _puncture_at(basis, path.start, path.reg_start if puncture is None else puncture)
         ctx = good_puncture_ctx(basis, j)
-        if words is None:
-            requested = _all_words(tuple(range(basis.n_forms)), depth)
-        else:
-            requested = _support_of(w if isinstance(w, Word) else Word(tuple(w)) for w in words)
-            for w in requested.words:
-                if any(a >= basis.n_forms for a in w.letters):
-                    raise ConfigError(f"word {w} uses letters outside the basis")
         plan = _assembly_plan(requested, ctx.form_label)
 
         segs = path.segments
@@ -410,9 +404,7 @@ class RegularizedTransport:
 def reg_iterated(path: Path, w, basis: FormBasis, *, tol: float = 1e-12) -> complex:
     """Regularized iterated integral of ``w`` along a path from a good puncture."""
     gw = _as_gw(w)
-    needed = list(gw.terms) or [EMPTY_WORD]
-    rt = RegularizedTransport.along(path, basis, words=needed, tol=tol)
-    return rt.value(gw)
+    return RegularizedTransport.along(path, basis, words=[gw], tol=tol).value(gw)
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +513,10 @@ def asymptotic_expansion(
     radii = _ladder_radii(r0, n_pts, _GUARD_MARGIN * basis.surface.pole_guard)
     points = [p_i + r * direction for r in radii]
 
-    needed = {word(ki)}
-    for _, g in parts:
-        needed.update(g.terms)
     rt = RegularizedTransport.along(
         line_path(p_j, points[0]),
         basis,
-        words=needed,
+        words=[word(ki), *(g for _, g in parts)],
         puncture=j,
         tol=tol,
     )

@@ -392,9 +392,10 @@ class NcSeries:
         return self._coeffs
 
     def coefficient(self, w) -> complex:
+        """The coefficient of a word, a letter sequence or a generalized word."""
         if isinstance(w, GeneralizedWord):
             return sum((c * self.coefficient(v) for v, c in w.items()), 0j)
-        k = self.support.position.get(w)
+        k = self.support.position.get(w if isinstance(w, Word) else Word(tuple(w)))
         if k is None:
             raise KeyError(f"word {w} outside series support")
         return self.values.item(k)
@@ -635,32 +636,51 @@ class TransportResult:
     error: float
 
 
+def _requested(basis: FormBasis, depth: int | None, words: Iterable | None) -> _Support:
+    """The support of a request, the one path from ``depth=`` or ``words=``
+    to words: every word up to ``depth``, or the words of ``words``, whose
+    items are words, letter sequences (tuples or lists) or generalized
+    words, which request their terms."""
+    if (depth is None) == (words is None):
+        raise ConfigError("give exactly one of depth= or words=")
+    if depth is not None:
+        return _all_words(tuple(range(basis.n_forms)), depth)
+    plain = []
+    for item in words:
+        if isinstance(item, GeneralizedWord):
+            plain += item.terms
+        elif isinstance(item, Word):
+            plain.append(item)
+        elif isinstance(item, (tuple, list)):
+            plain.append(Word(tuple(item)))
+        else:
+            raise ConfigError(f"cannot integrate object of type {type(item).__name__}")
+    support = _support_of(plain)
+    for w in support.words:
+        if any(a >= basis.n_forms for a in w.letters):
+            raise ConfigError(f"word {w} uses letters outside the basis")
+    return support
+
+
 def transport_series(
     path: Path,
     basis: FormBasis,
     *,
     depth: int | None = None,
-    words: Iterable[Word] | None = None,
+    words: Iterable | None = None,
     tol: float = 1e-12,
 ) -> TransportResult:
     """Series of all requested iterated integrals along the path.
 
     Exactly one of ``depth`` (all words up to that length) or ``words``
-    must be given.  The path must stay clear of punctures and carry no
-    regularization flags; regularized transport lives elsewhere.
+    (words, letter sequences or generalized words) must be given.  The path
+    must stay clear of punctures and carry no regularization flags;
+    regularized transport lives elsewhere.
     """
     if path.reg_start is not None or path.reg_end is not None:
         raise ConfigError("transport_series expects an unregularized path")
-    if (depth is None) == (words is None):
-        raise ConfigError("give exactly one of depth= or words=")
-    if depth is not None:
-        plan = _solve_plan(_all_words(tuple(range(basis.n_forms)), depth))
-    else:
-        closure = factor_closure(words)
-        for w in closure.words:
-            if any(k >= basis.n_forms for k in w.letters):
-                raise ConfigError(f"word {w} uses letters outside the basis")
-        plan = _solve_plan(closure)
+    support = _requested(basis, depth, words)
+    plan = _solve_plan(support if words is None else factor_closure(support.words))
 
     seg_tol = tol / len(path.segments)
     total: NcSeries | None = None
@@ -697,16 +717,9 @@ def iterated_integral(
     _check_tol(tol)  # before the shortcut that runs no quadrature
     single = isinstance(words, (Word, GeneralizedWord))
     requested = (words,) if single else tuple(words)
-    plain: set[Word] = set()
-    for item in requested:
-        if isinstance(item, Word):
-            plain.add(item)
-        elif isinstance(item, GeneralizedWord):
-            plain.update(w for w, _ in item.items())
-        else:
-            raise ConfigError(f"cannot integrate object of type {type(item).__name__}")
-    if not plain:
+    support = _requested(basis, None, requested)
+    if not support.words:
         return IntegralResult(requested, (0j,) * len(requested), 0.0)
-    result = transport_series(path, basis, words=plain, tol=tol)
+    result = transport_series(path, basis, words=support.words, tol=tol)
     values = tuple(result.series.coefficient(item) for item in requested)
     return IntegralResult(requested, values, result.error)

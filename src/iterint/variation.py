@@ -41,7 +41,7 @@ from .surfaces import (
     lattice_distance,
     structure_constants,
 )
-from .transport import iterated_integral
+from .transport import _requested, iterated_integral
 from .words import GeneralizedWord, Word
 
 # redraws before a random torus draw gives up; a modulus with Im tau about
@@ -70,9 +70,8 @@ class VariationRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "base", complex(self.base))
+        _requested(self.basis, None, [self.word])  # the letter check
         ls = self.word.letters
-        if any(not 0 <= a < self.basis.n_forms for a in ls):
-            raise ConfigError("word uses letters outside the basis")
         if not 1 <= self.position <= len(ls):
             raise ConfigError(f"position {self.position} outside the word")
         moving = set(self.moving_punctures())

@@ -545,6 +545,60 @@ class TestRegIterated:
             )
 
 
+class TestOneRequest:
+    """Plain and regularized transport read depth= and words= by one rule:
+    they take the same items and reject the same requests."""
+
+    COMBO = GeneralizedWord({word(0, 1): 2, word(1): -1})
+
+    ENTRIES = {
+        "transport_series": lambda b, **kw: transport_series(
+            line_path(0.2 + 0.1j, 0.8), b, **kw
+        ).series,
+        "RegularizedTransport.along": lambda b, **kw: RegularizedTransport.along(
+            line_path(0.0, 0.5), b, puncture=0, **kw
+        ).series(),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_items_request_the_same_words(self, sphere01, entry):
+        # a generalized word requests its terms, a letter sequence its word
+        _, b = sphere01
+        call = self.ENTRIES[entry]
+        by_words = call(b, words=[word(0, 1), word(1)])
+        for items in ([self.COMBO], [(0, 1), [1]], [self.COMBO, word(1), word(0, 1)]):
+            series = call(b, words=items)
+            assert series.support is by_words.support
+            assert np.array_equal(series.values, by_words.values)
+
+    @pytest.mark.parametrize(
+        "request_,message",
+        [
+            ({}, "give exactly one of depth= or words="),
+            ({"depth": 2, "words": [word(0)]}, "give exactly one of depth= or words="),
+            ({"words": [word(0, 5)]}, r"Word\(0,5\) uses letters outside the basis"),
+            ({"words": [GeneralizedWord({word(7): 1})]}, "uses letters outside the basis"),
+            ({"words": [5]}, "cannot integrate object of type int"),
+            ({"words": ["01"]}, "cannot integrate object of type str"),
+        ],
+        ids=["neither", "both", "letter", "combination-letter", "int-item", "str-item"],
+    )
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_bad_request_is_a_config_error(self, sphere01, entry, request_, message):
+        _, b = sphere01
+        with pytest.raises(ConfigError, match=message):
+            self.ENTRIES[entry](b, **request_)
+
+    def test_iterated_integral_reads_letter_sequences(self, sphere01):
+        _, b = sphere01
+        r = iterated_integral(line_path(0.2 + 0.1j, 0.8), [(0, 1), word(0, 1), [0, 1]], b)
+        assert r.values[0] == r.values[1] == r.values[2]
+
+    def test_zero_combination_reads_zero(self, sphere01):
+        _, b = sphere01
+        assert reg_iterated(line_path(0.0, 0.5), GeneralizedWord.zero(), b) == 0j
+
+
 class TestAsymptotic:
     def test_zeta2(self, sphere01):
         _, b = sphere01
