@@ -31,6 +31,8 @@ class LineSegment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", complex(self.start))
         object.__setattr__(self, "end", complex(self.end))
+        if not (cmath.isfinite(self.start) and cmath.isfinite(self.end)):
+            raise ConfigError(f"line segment ends must be finite, got {self}")
         if self.start == self.end:
             raise ConfigError("line segment has zero length")
 
@@ -62,6 +64,9 @@ class ArcSegment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", complex(self.center))
+        angles = (self.radius, self.theta0, self.theta1)
+        if not (cmath.isfinite(self.center) and all(map(math.isfinite, angles))):
+            raise ConfigError(f"arc center, radius and angles must be finite, got {self}")
         if self.radius <= 0:
             raise ConfigError("arc radius must be positive")
         if self.theta0 == self.theta1:

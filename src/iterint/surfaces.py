@@ -326,8 +326,10 @@ class SurfaceConfig:
         object.__setattr__(self, "punctures", pts)
         if not pts:
             raise ConfigError("need at least one puncture")
-        if self.pole_guard <= 0:
-            raise ConfigError("pole_guard must be positive")
+        if not all(map(cmath.isfinite, pts)):
+            raise ConfigError(f"punctures must be finite, got {pts}")
+        if not (math.isfinite(self.pole_guard) and self.pole_guard > 0):
+            raise ConfigError(f"pole_guard must be positive and finite, got {self.pole_guard}")
         if self.genus == 0:
             if self.tau is not None:
                 raise ConfigError("tau only applies to genus 1")

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
+import cmath
 import json
 import math
 import time
@@ -26,6 +27,12 @@ def run_json(capsys, argv):
 
 
 SPHERE = {"genus": 0, "punctures": [[0, 0], [1, 0]]}
+
+
+def line_job(basis, start, end):
+    """A path-mode polylog job for the word (0, 1) along one line."""
+    segment = {"type": "line", "start": start, "end": end}
+    return {"basis": basis, "path": {"segments": [segment]}, "words": [[0, 1]]}
 
 
 class TestPolylog:
@@ -57,7 +64,7 @@ class TestPolylog:
                     "segments": [{"type": "line", "start": [0, 0], "end": [0.6, 0]}],
                     "reg_start": 0,
                 },
-                "words": [[0, 1], [0]],
+                "words": [[0, 1], [0], {"zeta": 2}],
             },
         )
         rc, report = run_json(capsys, ["polylog", "--config", cfg])
@@ -65,6 +72,74 @@ class TestPolylog:
         by_key = {r["key"]: r for r in report["results"]}
         assert abs(complex(*by_key["0-1"]["value"]) + LI2_06) < 1e-12
         assert abs(complex(*by_key["0"]["value"]) - math.log(0.6)) < 1e-12
+        # the zeta entry is the combination -(0, 1)
+        assert abs(complex(*by_key["zeta2"]["value"]) - LI2_06) < 1e-12
+
+    def test_plain_path_mode_json_and_csv(self, tmp_path, capsys):
+        a, b = 0.2 + 0.1j, 0.6 - 0.3j
+        segment = {"type": "line", "start": [a.real, a.imag], "end": [b.real, b.imag]}
+        job = {"basis": SPHERE, "path": {"segments": [segment]}, "words": [[0], [1], [0, 1], {"zeta": 2}]}
+        cfg = write_config(tmp_path, "job.json", job)
+        rc, report = run_json(capsys, ["polylog", "--config", cfg])
+        assert rc == 0 and report["mode"] == "path"
+        by_key = {r["key"]: complex(*r["value"]) for r in report["results"]}
+        # the straight line from a to b crosses no branch cut of either log
+        assert abs(by_key["0"] - cmath.log(b / a)) < 1e-12
+        assert abs(by_key["1"] - cmath.log((b - 1) / (a - 1))) < 1e-12
+        assert by_key["zeta2"] == -by_key["0-1"]
+        assert main(["polylog", "--config", cfg, "--format", "csv"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header == "key,re,im,err"
+        rows = [line.split(",") for line in lines]
+        assert [r[0] for r in rows] == [r["key"] for r in report["results"]]
+        for (_, re, im, err), r in zip(rows, report["results"]):
+            assert [float(re), float(im)] == r["value"]
+            assert err == f"{r['error']:.3e}"
+
+    @pytest.mark.parametrize(
+        "job,message",
+        [
+            ([SPHERE], "top-level config must be a JSON object"),
+            ({"basis": SPHERE, "limit": {"target": 1, "base": 0}}, "config is missing 'words'"),
+            (
+                {"basis": SPHERE, "limit": {"target": 1, "base": 0}, "words": [{"letters": [0]}]},
+                "cannot read word entry",
+            ),
+            # json reads NaN: a non-finite end, puncture or guard is a bad request
+            (line_job(SPHERE, [0.2, 0.1], [math.nan, 0]), "line segment ends must be finite"),
+            (
+                line_job({"genus": 0, "punctures": [[0, 0], [1, math.nan]]}, [0.2, 0.1], [0.5, 0.1]),
+                "punctures must be finite",
+            ),
+            (
+                line_job(dict(SPHERE, pole_guard=math.nan), [0.2, 0.1], [0.5, 0.1]),
+                "pole_guard must be positive and finite",
+            ),
+            (
+                line_job(dict(SPHERE, pole_guard=math.nan), [0.2, 0], [1 - 1e-8, 0]),
+                "pole_guard must be positive and finite",
+            ),
+        ],
+        ids=[
+            "not-an-object",
+            "missing-key",
+            "bad-word-entry",
+            "nan-segment-end",
+            "nan-puncture",
+            "nan-guard-clear-path",
+            "nan-guard-near-puncture",
+        ],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, job, message):
+        assert main(["polylog", "--config", write_config(tmp_path, "job.json", job)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_numerical_failure_exits_1(self, tmp_path, capsys):
+        # a path that ends 1e-8 from puncture 1, inside the default guard
+        job = line_job(SPHERE, [0.2, 0], [1 - 1e-8, 0])
+        assert main(["polylog", "--config", write_config(tmp_path, "job.json", job)]) == 1
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "passes within 1e-08 of puncture 1" in err
 
     def test_reg_start_out_of_range_exits_2(self, tmp_path, capsys):
         segment = {"type": "line", "start": [0, 0], "end": [0.6, 0]}
@@ -253,6 +328,10 @@ class TestCheck:
     def test_bad_tau(self, capsys):
         assert main(["check", "fay", "--tau", "banana"]) == 2
 
+    def test_genus_2_exits_2(self, capsys):
+        assert main(["check", "shuffle", "--genus", "2"]) == 2
+        assert "genus must be 0 or 1, got 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -260,8 +339,9 @@ class TestCheck:
             ["variation", "--genus", "1", "--seed", "11"],
             ["structure", "--genus", "1", "--seed", "11"],
             ["associator"],
+            ["variation", "--genus", "0", "--seed", "11"],
         ],
-        ids=["fay", "variation-genus1", "structure-genus1", "associator"],
+        ids=["fay", "variation-genus1", "structure-genus1", "associator", "variation-genus0"],
     )
     def test_seed_determinism(self, tmp_path, argv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -56,6 +56,16 @@ class TestSegments:
         with pytest.raises(ConfigError):
             ArcSegment(0, 1.0, 0.3, 0.3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values(self, bad):
+        with pytest.raises(ConfigError, match="line segment ends must be finite"):
+            LineSegment(0, bad)
+        with pytest.raises(ConfigError, match="line segment ends must be finite"):
+            LineSegment(complex(1, bad), 0)
+        for args in [(bad, 1.0, 0.0, 1.0), (0, bad, 0.0, 1.0), (0, 1.0, bad, 1.0), (0, 1.0, 0.0, bad)]:
+            with pytest.raises(ConfigError, match="arc center, radius and angles must be finite"):
+                ArcSegment(*args)
+
 
 class TestPath:
     def test_chaining_validation(self):
@@ -157,6 +167,13 @@ class TestLoops:
             loop_around(LoopSpec(0, 1, basepoint=0), s)
         with pytest.raises(ConfigError):
             loop_around(LoopSpec(5, 1, basepoint=0.5), s)
+
+    @pytest.mark.parametrize("winding", [0, 1])
+    def test_non_finite_basepoint(self, winding):
+        # the loop's own segments reject it
+        s = SurfaceConfig(0, (0, 1))
+        with pytest.raises(ConfigError, match="must be finite"):
+            loop_around(LoopSpec(0, winding, basepoint=complex(math.nan, 0.1)), s)
 
     def test_default_radius_lattice_aware(self):
         # lone puncture on a torus: nearest pole copies are one cell away

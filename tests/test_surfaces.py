@@ -255,6 +255,19 @@ class TestSurfaceConfig:
             # distinct in C but equal mod lattice
             SurfaceConfig(1, (0.1, 1.1 + 1j), tau=1j)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_non_finite_values(self, genus, bad):
+        # json reads NaN and Infinity; a non-finite puncture or guard is a
+        # configuration error, not a quadrature that stalls or a guard that
+        # is silently off
+        tau = 1j if genus else None
+        with pytest.raises(ConfigError, match="punctures must be finite"):
+            SurfaceConfig(genus, (0, bad), tau=tau)
+        if not isinstance(bad, complex):
+            with pytest.raises(ConfigError, match="pole_guard must be positive and finite"):
+                SurfaceConfig(genus, (0, 0.3), tau=tau, pole_guard=bad)
+
     def test_lattice_distance_skew(self):
         tau = 0.5 + 1j
         # 0.75 + 0.5j is nearer to tau than to 0 or 1
