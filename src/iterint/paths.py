@@ -64,8 +64,8 @@ class ArcSegment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", complex(self.center))
-        angles = (self.radius, self.theta0, self.theta1)
-        if not (cmath.isfinite(self.center) and all(map(math.isfinite, angles))):
+        reals = (self.radius, self.theta0, self.theta1)
+        if not (cmath.isfinite(self.center) and all(map(math.isfinite, reals))):
             raise ConfigError(f"arc center, radius and angles must be finite, got {self}")
         if self.radius <= 0:
             raise ConfigError("arc radius must be positive")
