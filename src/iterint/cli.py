@@ -15,18 +15,7 @@ import math
 import random
 import sys
 
-from .errors import (
-    ConfigError,
-    ConventionError,
-    DecompositionUnavailableError,
-    EndpointMismatchError,
-    FitError,
-    MissingLabelError,
-    NotGoodPunctureError,
-    PoleProximityError,
-    ToleranceError,
-    VariationUnsupportedError,
-)
+from .errors import ConfigError, NumericalError, _int_field
 from .paths import LineSegment, LoopSpec, Path, line_path, path_from_json
 from .regularization import (
     RegularizedTransport,
@@ -58,16 +47,6 @@ from .variation import (
     variation_rhs,
 )
 from .words import GeneralizedWord, Word, shuffle, word
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    DecompositionUnavailableError,
-    EndpointMismatchError,
-    MissingLabelError,
-    NotGoodPunctureError,
-    VariationUnsupportedError,
-)
-_NUMERIC_ERRORS = (ConventionError, FitError, PoleProximityError, ToleranceError)
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +81,13 @@ def _word_key(w: Word) -> str:
 def _word_entry(item) -> tuple[str, Word | GeneralizedWord]:
     """One requested value: a plain letter list, {"word": [...]}, or
     {"zeta": n} for the combination whose regularized limit is zeta(n)."""
-    if isinstance(item, list):
-        w = Word(tuple(int(a) for a in item))
-        return _word_key(w), w
     if isinstance(item, dict) and "zeta" in item:
-        n = int(item["zeta"])
+        n = _int_field(item["zeta"], "zeta")
         return f"zeta{n}", zeta_word(n)
     if isinstance(item, dict) and "word" in item:
-        w = Word(tuple(int(a) for a in item["word"]))
+        item = item["word"]
+    if isinstance(item, list):
+        w = Word(tuple(item))
         return _word_key(w), w
     raise ConfigError(f"cannot read word entry {item!r}")
 
@@ -134,8 +112,8 @@ def _cmd_polylog(args) -> tuple[dict, bool]:
         raise ConfigError("config needs exactly one of 'path' or 'limit'")
 
     if "limit" in cfg:
-        target = int(_require(cfg["limit"], "target"))
-        base = int(_require(cfg["limit"], "base"))
+        target = _int_field(_require(cfg["limit"], "target"), "target")
+        base = _int_field(_require(cfg["limit"], "base"), "base")
         rows = [_limit_row({"key": key}, basis, target, base, obj, tol) for key, obj in entries]
         mode = "limit"
     else:
@@ -162,10 +140,10 @@ def _cmd_mzv(args) -> tuple[dict, bool]:
     basis = basis_from_json(_require(cfg, "basis"))
     jobs: list[tuple[int, int, str, Word | GeneralizedWord]] = []
     for entry in _require(cfg, "entries"):
-        i = int(_require(entry, "i"))
-        j = int(_require(entry, "j"))
+        i = _int_field(_require(entry, "i"), "i")
+        j = _int_field(_require(entry, "j"), "j")
         if "depth" in entry:
-            for w in all_words(range(basis.n_forms), int(entry["depth"])):
+            for w in all_words(range(basis.n_forms), _int_field(entry["depth"], "depth")):
                 jobs.append((i, j, _word_key(w), w))
         else:
             key, obj = _word_entry(entry)
@@ -392,17 +370,19 @@ _SUITES = {
 
 def _cmd_check(args) -> tuple[dict, bool]:
     cfg = _load_config(args.config) if args.config else {}
+    flags = {k: getattr(args, k) for k in ("genus", "tau", "seed", "depth", "tol")}
+    cfg.update((k, v) for k, v in flags.items() if v is not None)  # flags win
     suite = args.suite
     torus_only = suite in ("fay", "structure")
-    genus = args.genus if args.genus is not None else int(cfg.get("genus", int(torus_only)))
+    genus = _int_field(cfg.get("genus", int(torus_only)), "genus")
     if genus not in (0, 1):
         raise ConfigError(f"genus must be 0 or 1, got {genus}")
     if torus_only and genus != 1:
         raise ConfigError(f"check {suite} runs on a torus; got genus {genus}")
-    tau = _parse_tau(args.tau if args.tau is not None else cfg.get("tau", "i"))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    depth = args.depth if args.depth is not None else cfg.get("depth")
-    tol = args.tol if args.tol is not None else cfg.get("tol")
+    tau = _parse_tau(cfg.get("tau", "i"))
+    seed = _int_field(cfg.get("seed", 0), "seed")
+    depth = None if cfg.get("depth") is None else _int_field(cfg["depth"], "depth")
+    tol = cfg.get("tol")
     cases = _SUITES[suite](random.Random(seed), genus, tau, depth, tol)
     for c in cases:
         c["pass"] = bool(c["residual"] < c["tol"])
@@ -492,13 +472,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report, ok = dispatch[args.command](args)
         text = _render(report, args.format)
-    except _CONFIG_ERRORS as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (KeyError, TypeError, ValueError, OSError) as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as e:
+    except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 1
     _emit(text, args.out)

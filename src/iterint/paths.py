@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, EndpointMismatchError, PoleProximityError
+from .errors import ConfigError, EndpointMismatchError, PoleProximityError, _int_field
 
 _JUNCTION_TOL = 1e-12
 
@@ -362,4 +362,5 @@ def path_from_json(data: dict) -> Path:
         segs = tuple(segment_from_json(s) for s in data["segments"])
     except (KeyError, TypeError) as e:
         raise ConfigError(f"bad path config: {e}") from e
-    return Path(segs, reg_start=data.get("reg_start"), reg_end=data.get("reg_end"))
+    ends = {k: _int_field(data[k], k) for k in ("reg_start", "reg_end") if data.get(k) is not None}
+    return Path(segs, **ends)

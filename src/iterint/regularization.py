@@ -86,7 +86,7 @@ from .words import (
     GeneralizedWord,
     Word,
     _as_gw,
-    _expansion,
+    _decomposition,
     decompose_leading,
     word,
 )
@@ -277,29 +277,18 @@ def _assembly_plan(requested: _Support, kj: int) -> _AssemblyPlan:
     A support is hashed by identity, so that a warm request hashes no word;
     a ``depth=`` request passes the support of every word up to its depth
     that ``_all_words`` keeps, which is tail-closed and so is the plan's
-    support too.  Part i of a word is the
-    :func:`~iterint.words._expansion` of the word minus kj^i; the expansions
-    of one compile share one memo, dropped with the compile.  The parts of
-    the tails' decompositions are tails of the requested words' parts, so
-    adding the tails changes neither solve plan.
+    support too.  The terms of the decompositions are those of
+    :func:`~iterint.words._decomposition`.  The parts of the tails'
+    decompositions are tails of the requested words' parts, so adding the
+    tails changes neither solve plan.
     """
     support = tail_closure(requested.words)
-    word_of = {"".join(map(chr, w.letters)): w for w in support.words}
-    j = chr(kj)
-    memo: dict = {}
     # every term of every word's decomposition: row, power, part, multiplicity
-    row, power, parts, multiplicity = [], [], [], []
-    for r, s in enumerate(word_of):
-        for i in range(len(s) - len(s.rstrip(j)) + 1):
-            expansion = _expansion(s[: len(s) - i], j, memo)
-            row += [r] * len(expansion)
-            power += [i] * len(expansion)
-            parts += expansion
-            multiplicity += expansion.values()
-    part_words = [word_of[u] if u in word_of else Word(tuple(map(ord, u))) for u in set(parts)]
+    row, power, parts, multiplicity = zip(*_decomposition(support.words, kj))
+    part_words = set(parts)
     v_plan = _solve_plan(tail_closure(part_words))
     full_plan = _solve_plan(factor_closure([*requested.words, *part_words, word(kj)]))
-    column_of = {"".join(map(chr, w.letters)): c for c, w in enumerate(v_plan.support.words)}
+    column = v_plan.support.position
     return _AssemblyPlan(
         support,
         max((len(w) for w in requested.words), default=0),
@@ -307,7 +296,7 @@ def _assembly_plan(requested: _Support, kj: int) -> _AssemblyPlan:
         full_plan,
         np.array(row, dtype=np.intp),
         np.array(power, dtype=np.intp),
-        np.array([column_of[u] for u in parts], dtype=np.intp),
+        np.array([column[u] for u in parts], dtype=np.intp),
         np.array(multiplicity, dtype=float),
     )
 

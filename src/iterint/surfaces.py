@@ -45,6 +45,7 @@ from .errors import (
     ConfigError,
     DecompositionUnavailableError,
     PoleProximityError,
+    _int_field,
 )
 from .paths import Segment, segment_min_distance
 from .words import FormLabel
@@ -659,9 +660,9 @@ def form_from_json(data: dict) -> FormSpec:
     if kind == "dz":
         return FormSpec.dz()
     if kind == "genus0_log":
-        return FormSpec.genus0_log(int(data["pole"]))
+        return FormSpec.genus0_log(_int_field(data["pole"], "pole"))
     if kind == "elliptic_log":
-        return FormSpec.elliptic_log(int(data["k1"]), int(data["k2"]))
+        return FormSpec.elliptic_log(_int_field(data["k1"], "k1"), _int_field(data["k2"], "k2"))
     raise ConfigError(f"unknown form kind {kind!r}")
 
 
@@ -681,7 +682,7 @@ def basis_to_json(basis: FormBasis) -> dict:
 
 def basis_from_json(data: dict) -> FormBasis:
     try:
-        genus = int(data["genus"])
+        genus = _int_field(data["genus"], "genus")
         punctures = tuple(complex_from_json(p) for p in data["punctures"])
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad surface config: {e}") from e

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
+from .errors import ConfigError, _int_field
+
 FormLabel = int
 
 
@@ -32,10 +34,12 @@ class Word:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        letters = tuple(int(a) for a in self.letters)
-        if any(a < 0 for a in letters):
-            raise ValueError(f"form labels must be non-negative, got {letters}")
-        object.__setattr__(self, "letters", letters)
+        letters = self.letters
+        if type(letters) is not tuple or not all(type(a) is int and a >= 0 for a in letters):
+            letters = tuple(_int_field(a, "word letter") for a in letters)
+            if any(a < 0 for a in letters):
+                raise ConfigError(f"form labels must be non-negative, got {letters}")
+            object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_hash", hash((letters,)))
 
     def __hash__(self) -> int:
@@ -246,6 +250,23 @@ def _expansion(s: str, j: str, memo: dict) -> dict[str, int]:
     return out
 
 
+def _decomposition(words: Iterable[Word], j: FormLabel) -> Iterator[tuple[int, int, Word, int]]:
+    """Every term m * u ⧢ j^i of the decompositions of ``words`` at ``j`` as
+    (index of the word, i, u, m), i up to the word's trailing run of ``j``;
+    u and m are the :func:`_expansion` of the word minus j^i.  The
+    expansions share one memo, dropped with the generator."""
+    memo: dict = {}
+    made: dict[str, Word] = {}
+    letter = chr(j)
+    for index, wd in enumerate(words):
+        s = "".join(map(chr, wd.letters))
+        for i in range(len(s) - len(s.rstrip(letter)) + 1):
+            for u, m in _expansion(s[: len(s) - i], letter, memo).items():
+                if u not in made:
+                    made[u] = Word(tuple(map(ord, u)))
+                yield index, i, made[u], m
+
+
 def decompose_at(
     w: Word | GeneralizedWord, j: FormLabel
 ) -> list[tuple[int, GeneralizedWord]]:
@@ -253,26 +274,16 @@ def decompose_at(
 
     Returns ``[(i, w(i))]`` sorted by increasing power, zero parts dropped.
     The expansion exists and is unique, so it is the linear extension of the
-    expansion of each plain word, whose part i is the :func:`_expansion` of
-    the word minus j^i for i up to its trailing run of ``j``; no shuffle is
-    taken.  Ring operations only, so exact coefficients stay exact.
+    expansion of each plain word (:func:`_decomposition`); no shuffle
+    is taken.  Ring operations only, so exact coefficients stay exact.
     """
+    terms = list(_as_gw(w)._terms.items())
     parts: dict[int, dict[Word, Any]] = {}
-    memo: dict = {}
-    letter = chr(j)
-    for wd, c in _as_gw(w)._terms.items():
-        s = "".join(map(chr, wd.letters))
-        for i in range(len(s) - len(s.rstrip(letter)) + 1):
-            part = parts.setdefault(i, {})
-            for u, m in _expansion(s[: len(s) - i], letter, memo).items():
-                u = Word(tuple(map(ord, u)))
-                part[u] = part.get(u, 0) + c * m
-    out = []
-    for i in sorted(parts):
-        gw = GeneralizedWord(parts[i])
-        if not gw.is_zero:
-            out.append((i, gw))
-    return out
+    for index, i, u, m in _decomposition([wd for wd, _ in terms], j):
+        part = parts.setdefault(i, {})
+        part[u] = part.get(u, 0) + terms[index][1] * m
+    gws = ((i, GeneralizedWord(parts[i])) for i in sorted(parts))
+    return [(i, gw) for i, gw in gws if not gw.is_zero]
 
 
 def decompose_leading(

@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+import iterint.cli as cli_mod
 from iterint.cli import main
+from iterint.errors import ConfigError, IterintError, NumericalError
 
 from oracles import zeta_em
 
@@ -27,6 +29,7 @@ def run_json(capsys, argv):
 
 
 SPHERE = {"genus": 0, "punctures": [[0, 0], [1, 0]]}
+LIMIT = {"basis": SPHERE, "limit": {"target": 1, "base": 0}}
 
 
 def line_job(basis, start, end):
@@ -119,6 +122,50 @@ class TestPolylog:
                 line_job(dict(SPHERE, pole_guard=math.nan), [0.2, 0], [1 - 1e-8, 0]),
                 "pole_guard must be positive and finite",
             ),
+            # an integer field is never coerced: 1.5 is not read as 1
+            (dict(LIMIT, words=[[0.9, 1.5]]), "word letter must be an integer, got 0.9"),
+            (dict(LIMIT, words=[{"word": ["0", "1"]}]), "word letter must be an integer, got '0'"),
+            (dict(LIMIT, words=[{"zeta": 2.7}]), "zeta must be an integer, got 2.7"),
+            (
+                {"basis": SPHERE, "limit": {"target": 1.0, "base": 0}, "words": [[0]]},
+                "target must be an integer, got 1.0",
+            ),
+            (
+                dict(LIMIT, basis=dict(SPHERE, genus=0.9), words=[[0]]),
+                "genus must be an integer, got 0.9",
+            ),
+            (
+                dict(
+                    LIMIT,
+                    basis=dict(SPHERE, forms=[{"kind": "genus0_log", "pole": p} for p in (0, 1.5)]),
+                    words=[[0]],
+                ),
+                "pole must be an integer, got 1.5",
+            ),
+            (
+                {
+                    "basis": SPHERE,
+                    "path": {
+                        "segments": [{"type": "line", "start": [1, 0], "end": [0.4, 0]}],
+                        "reg_start": True,
+                    },
+                    "words": [[0, 1]],
+                },
+                "reg_start must be an integer, got True",
+            ),
+            # a config with "entries" runs as mzv
+            (
+                {"basis": SPHERE, "entries": [{"i": 1.5, "j": 0, "word": [0, 1]}]},
+                "i must be an integer, got 1.5",
+            ),
+            (
+                {"basis": SPHERE, "entries": [{"i": 1, "j": 0.2, "word": [0, 1]}]},
+                "j must be an integer, got 0.2",
+            ),
+            (
+                {"basis": SPHERE, "entries": [{"i": 1, "j": 0, "depth": 1.5}]},
+                "depth must be an integer, got 1.5",
+            ),
         ],
         ids=[
             "not-an-object",
@@ -128,10 +175,21 @@ class TestPolylog:
             "nan-puncture",
             "nan-guard-clear-path",
             "nan-guard-near-puncture",
+            "float-letters",
+            "string-letters",
+            "float-zeta",
+            "float-limit-target",
+            "float-genus",
+            "float-pole",
+            "bool-reg-start",
+            "mzv-float-i",
+            "mzv-float-j",
+            "mzv-float-depth",
         ],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, job, message):
-        assert main(["polylog", "--config", write_config(tmp_path, "job.json", job)]) == 2
+        command = "mzv" if "entries" in job else "polylog"
+        assert main([command, "--config", write_config(tmp_path, "job.json", job)]) == 2
         assert message in capsys.readouterr().err
 
     def test_numerical_failure_exits_1(self, tmp_path, capsys):
@@ -325,6 +383,12 @@ class TestCheck:
         cfg = write_config(tmp_path, "cfg.json", {"genus": 0})
         assert main(["check", suite, "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("field", ["genus", "seed", "depth"])
+    def test_non_integer_config_field_exits_2(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, "cfg.json", {field: 0.9})
+        assert main(["check", "shuffle", "--config", cfg]) == 2
+        assert f"{field} must be an integer, got 0.9" in capsys.readouterr().err
+
     def test_bad_tau(self, capsys):
         assert main(["check", "fay", "--tau", "banana"]) == 2
 
@@ -362,3 +426,42 @@ class TestCheck:
         main(["check", "fay", "--config", str(cfg), "--out", str(a)])
         main(["check", "fay", "--seed", "11", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# the exit status each library error has always given
+EXIT_STATUS = {
+    "ConfigError": 2,
+    "DecompositionUnavailableError": 2,
+    "EndpointMismatchError": 2,
+    "MissingLabelError": 2,
+    "NotGoodPunctureError": 2,
+    "VariationUnsupportedError": 2,
+    "NumericalError": 1,
+    "ConventionError": 1,
+    "FitError": 1,
+    "PoleProximityError": 1,
+    "ToleranceError": 1,
+}
+
+
+def test_every_error_has_one_family_and_its_exit_status(monkeypatch, capsys):
+    errors = set(_subclasses(IterintError))
+    assert set(EXIT_STATUS) <= {cls.__name__ for cls in errors}
+    for cls in sorted(errors, key=lambda c: c.__name__):
+        assert issubclass(cls, ConfigError) != issubclass(cls, NumericalError), cls
+        status = 2 if issubclass(cls, ConfigError) else 1
+        assert EXIT_STATUS.get(cls.__name__, status) == status, cls
+
+        def fail(args, cls=cls):
+            raise cls("raised inside a command")
+
+        monkeypatch.setattr(cli_mod, "_cmd_check", fail)
+        assert main(["check", "shuffle"]) == status
+        prefix = "error" if status == 2 else "numerical failure"
+        assert capsys.readouterr().err == f"{prefix}: raised inside a command\n"

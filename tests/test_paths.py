@@ -74,6 +74,8 @@ class TestPath:
         Path((a, b))
         with pytest.raises(EndpointMismatchError):
             Path((a, LineSegment(1.001, 2)))
+        with pytest.raises(ConfigError, match="at least one segment"):
+            Path(())
 
     def test_global_parametrization(self):
         # quarter arc of length pi/2 then a line of length 1
@@ -167,6 +169,8 @@ class TestLoops:
             loop_around(LoopSpec(0, 1, basepoint=0), s)
         with pytest.raises(ConfigError):
             loop_around(LoopSpec(5, 1, basepoint=0.5), s)
+        with pytest.raises(ConfigError, match="radius must be positive"):
+            loop_around(LoopSpec(0, 1, basepoint=0.5, radius=-0.1), s)
 
     @pytest.mark.parametrize("winding", [0, 1])
     def test_non_finite_basepoint(self, winding):
@@ -238,6 +242,13 @@ class TestLogVariation:
         with pytest.raises(ConfigError):
             log_variation(Path((arc,)), arc.point(0))
 
+    def test_closed_arc_on_pole_raises(self):
+        # a full turn whose two ends round to the same point, the pole
+        arc = ArcSegment(8 + 8j, 1.0, 0.0, 2 * math.pi)
+        assert arc.point(0.0) == arc.point(1.0)
+        with pytest.raises(PoleProximityError, match="both starts and ends"):
+            log_variation(Path((arc,)), arc.point(0.0))
+
 
 class TestSerialization:
     def test_roundtrip(self):
@@ -258,3 +269,7 @@ class TestSerialization:
             segment_from_json({"type": "spline"})
         with pytest.raises(ConfigError):
             path_from_json({})
+        data = path_to_json(line_path(0, 1))
+        for end, bad in (("reg_start", 0.0), ("reg_end", True), ("reg_start", "1")):
+            with pytest.raises(ConfigError, match=f"{end} must be an integer"):
+                path_from_json({**data, end: bad})

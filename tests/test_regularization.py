@@ -12,6 +12,7 @@ import pytest
 
 from iterint.errors import (
     ConfigError,
+    ConventionError,
     EndpointMismatchError,
     FitError,
     MissingLabelError,
@@ -29,7 +30,7 @@ from iterint.regularization import (
     reg_line_integral,
     zeta_word,
 )
-from iterint.surfaces import FormBasis, SurfaceConfig, eval_form
+from iterint.surfaces import FormBasis, FormSpec, SurfaceConfig, eval_form
 import iterint.regularization as regularization_mod
 import iterint.transport as transport_mod
 import iterint.words as words_mod
@@ -79,6 +80,22 @@ class TestGoodPuncture:
             assert good_puncture_ctx(b, j).form_label == j
         with pytest.raises(NotGoodPunctureError):
             good_puncture_ctx(b, 0)
+
+    def test_residue_minus_one_is_not_good(self):
+        # the one form singular at puncture 0 has its residue -1 there
+        s = SurfaceConfig(1, (0.0, 0.45), tau=1j)
+        b = FormBasis(s, (FormSpec.dz(), FormSpec.elliptic_log(1, 0)))
+        assert good_puncture_ctx(b, 1).form_label == 1
+        with pytest.raises(NotGoodPunctureError, match="residue -1 at puncture 0"):
+            good_puncture_ctx(b, 0)
+
+    def test_residue_probe_must_read_one(self, sphere01, monkeypatch):
+        _, b = sphere01
+        monkeypatch.setattr(
+            regularization_mod, "eval_form", lambda *args, **kw: 0.5 * eval_form(*args, **kw)
+        )
+        with pytest.raises(NotGoodPunctureError, match="numeric residue probe"):
+            good_puncture_ctx(b, 1)
 
     def test_index_validation(self, sphere01):
         _, b = sphere01
@@ -189,6 +206,8 @@ class TestRegLineIntegral:
         _, b = sphere01
         with pytest.raises(EndpointMismatchError):
             reg_line_integral(line_path(0.2, 0.8), 0, b)
+        with pytest.raises(EndpointMismatchError, match="is not puncture 0"):
+            RegularizedTransport.along(line_path(0.2, 0.8), b, depth=1, puncture=0)
         with pytest.raises(ConfigError):
             reg_line_integral(line_path(0.0, 0.5), 7, b)
 
@@ -514,13 +533,13 @@ class TestRegIterated:
         # every expansion of a compile shares one memo, and the next compile
         # starts its own
         memos = []
-        expansion = regularization_mod._expansion
+        expansion = words_mod._expansion
 
         def spy(s, j, memo):
             memos[-1].append(memo)
             return expansion(s, j, memo)
 
-        monkeypatch.setattr(regularization_mod, "_expansion", spy)
+        monkeypatch.setattr(words_mod, "_expansion", spy)
         requested = transport_mod._support_of((word(0, 1, 1), word(1, 0, 1, 1)))
         for _ in range(2):
             memos.append([])
@@ -600,6 +619,11 @@ class TestOneRequest:
 
 
 class TestAsymptotic:
+    def test_zero_word_reads_zero(self, sphere01):
+        _, b = sphere01
+        exp = asymptotic_expansion(b, 1, 0, GeneralizedWord.zero())
+        assert exp.coefficients == (0j,) and exp.error == 0.0
+
     def test_zeta2(self, sphere01):
         _, b = sphere01
         value = mzv(b, 1, 0, zeta_word(2))
@@ -721,6 +745,12 @@ class TestAssociator:
         _, b = sphere01
         phi = associator(b, 1, 0, depth=3)
         assert phi.probe_residual < 1e-10
+
+    def test_probes_that_disagree_raise(self, sphere01, monkeypatch):
+        _, b = sphere01
+        monkeypatch.setattr(regularization_mod, "_CONSISTENCY_TOL", 0.0)
+        with pytest.raises(ConventionError, match="associator probes disagree"):
+            associator(b, 1, 0, depth=3)
 
     def test_zeta_coefficients(self, sphere01):
         _, b = sphere01

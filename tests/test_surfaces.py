@@ -413,9 +413,17 @@ class TestFormBasis:
             FormBasis(s0, (FormSpec.genus0_log(0),))  # missing a pole
         with pytest.raises(ConfigError):
             FormBasis(s0, (FormSpec.genus0_log(0), FormSpec.genus0_log(0)))
+        with pytest.raises(ConfigError, match="must consist of genus0_log"):
+            FormBasis(s0, (FormSpec.dz(), FormSpec.genus0_log(1)))
         s1 = SurfaceConfig(1, (0, 0.3), tau=1j)
         with pytest.raises(ConfigError):
             FormBasis(s1, (FormSpec.elliptic_log(1, 0),))  # no dz first
+        with pytest.raises(ConfigError, match="after dz must be elliptic_log"):
+            FormBasis(s1, (FormSpec.dz(), FormSpec.genus0_log(1)))
+        with pytest.raises(ConfigError, match="needs 1 elliptic forms"):
+            FormBasis(s1, (FormSpec.dz(),))
+        with pytest.raises(ConfigError, match="out of range"):
+            FormBasis(s1, (FormSpec.dz(), FormSpec.elliptic_log(2, 0)))
 
     def test_completion_lookup(self):
         s = SurfaceConfig(1, (0, 0.31 + 0.12j, -0.22 + 0.41j, 0.11 - 0.27j), tau=1j)
@@ -448,6 +456,10 @@ class TestFormBasis:
             FormSpec("genus0_log")
         with pytest.raises(ConfigError):
             FormSpec("whatever")
+        with pytest.raises(ConfigError, match="no pole data"):
+            FormSpec("dz", pole=0)
+        with pytest.raises(ConfigError, match="needs puncture indices"):
+            FormSpec("elliptic_log", k1=1)
 
 
 class TestEvalForm:
@@ -589,6 +601,11 @@ class TestStructureConstants:
         with pytest.raises(DecompositionUnavailableError):
             structure_constants(b, 1, 1)
 
+    def test_label_range(self):
+        b = FormBasis.genus0(SurfaceConfig(0, (0, 1)))
+        with pytest.raises(ConfigError, match="out of range"):
+            structure_constants(b, 0, 2)
+
 
 class TestFayIdentity:
     @pytest.mark.parametrize("tau", TAUS)
@@ -614,9 +631,11 @@ class TestSerialization:
         assert complex_from_json(3) == 3 + 0j
 
     def test_genus0_roundtrip(self):
-        b = FormBasis.genus0(SurfaceConfig(0, (0, 1, 1j)))
-        data = json.loads(json.dumps(basis_to_json(b)))
-        assert basis_from_json(data) == b
+        for guard in (1e-6, 1e-9):
+            b = FormBasis.genus0(SurfaceConfig(0, (0, 1, 1j), pole_guard=guard))
+            data = json.loads(json.dumps(basis_to_json(b)))
+            assert ("pole_guard" in data) == (guard != 1e-6)
+            assert basis_from_json(data) == b
 
     def test_genus1_roundtrip(self):
         s = SurfaceConfig(1, (0.0, 0.31 + 0.12j, -0.22 + 0.41j, 0.11 - 0.27j), tau=0.5 + 1j)
@@ -645,5 +664,14 @@ class TestSerialization:
     def test_bad_inputs(self):
         with pytest.raises(ConfigError):
             form_from_json({"kind": "poles"})
+        for data, field in (
+            ({"kind": "genus0_log", "pole": 1.5}, "pole"),
+            ({"kind": "elliptic_log", "k1": "1", "k2": 0}, "k1"),
+            ({"kind": "elliptic_log", "k1": 1, "k2": None}, "k2"),
+        ):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                form_from_json(data)
+        with pytest.raises(ConfigError, match="genus must be an integer, got 0.9"):
+            basis_from_json({"genus": 0.9, "punctures": [[0, 0], [1, 0]]})
         with pytest.raises(ConfigError):
             basis_from_json({"genus": 0})

@@ -3,10 +3,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterint.errors import ConfigError
 from iterint.words import (
     EMPTY_WORD,
     GeneralizedWord,
@@ -216,5 +218,9 @@ class TestDecomposeLeading:
 
 class TestSerialization:
     def test_word_validation(self):
-        with pytest.raises(ValueError):
-            Word((-1, 0))
+        # a letter is a non-negative integer, never coerced by int()
+        for letters in [(-1, 0), (1.7,), ("0", "1"), (True,), (0, None)]:
+            with pytest.raises(ConfigError, match="non-negative|word letter"):
+                Word(letters)
+        assert Word((np.int64(1), 0)) == word(1, 0)
+        assert type(Word((np.int64(1),))[0]) is int
